@@ -1,8 +1,9 @@
 """Seeded Monte Carlo estimates and their reproducibility guarantees.
 
-Each trial draws from its own substream keyed by (seed, trial index) and the
-aggregation is an integer sum, so the stats are a pure function of
-(target, trials, seed): reruns and different worker counts cannot change them.
+Trial i reads the i-th uniform of one stream seeded by ``seed``, and the
+counts come from the two-row branch table, so the stats are a pure function
+of (target, trials, seed): reruns cannot change them, and the worker count
+never does.
 """
 
 import numpy as np
@@ -28,7 +29,7 @@ print("Reruns with the same seed are identical:")
 again = monte_carlo(general, trials, seed)
 print(f"  {monte_carlo(general, trials, seed) == again}")
 
-print("Worker count does not change the result:")
-serial = monte_carlo(general, 10_000, seed=7, workers=1)
-parallel = monte_carlo(general, 10_000, seed=7, workers=4)
-print(f"  1 worker == 4 workers: {serial == parallel}")
+print("The worker count never changes the result:")
+one = monte_carlo(general, 10_000, seed=7, workers=1)
+four = monte_carlo(general, 10_000, seed=7, workers=4)
+print(f"  workers=1 == workers=4: {one == four}")

@@ -1,26 +1,29 @@
 """Exact and statistical cost accounting for the preparation protocol.
 
-``exact_analyze`` enumerates both measurement branches and weights them by
-their Born probabilities, giving the protocol's figures with no sampling
-error. ``monte_carlo`` estimates the same figures from seeded random trials;
-each trial owns an independent substream derived from (seed, trial index), so
-results are identical no matter how trials are chunked across workers.
-``emit_comparison_table`` places the computed cost next to published
-figures for five earlier preparation protocols, carried as static data.
+A trial is a pure function of its measurement branch, so the two forced
+``run_trial`` records make the protocol's branch table: probability, bits and
+success for psi_perp and for psi. ``exact_analyze`` is the table's weighted
+sum, with no sampling error. ``monte_carlo`` estimates the same figures from
+one seeded stream of uniforms, trial i reading the stream's i-th draw, so the
+result is a pure function of (target, trials, seed) and never depends on the
+worker count. ``emit_comparison_table`` places the computed cost next to
+published figures for five earlier preparation protocols, carried as static
+data.
 """
 
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .protocol import TargetCase, TargetSpec, run_trial
-from .statevector import Outcome, basis_from_target, make_bell, measure_in_basis
+from .statevector import Outcome
 
 _BRANCH_ORDER = (Outcome.PSI_PERP, Outcome.PSI)
+
+DRAW_BLOCK = 2**20  # uniforms held at once by monte_carlo: 8 MiB for any trial count
 
 
 @dataclass(frozen=True)
@@ -156,58 +159,31 @@ LITERATURE_ROWS = (
 
 
 def exact_analyze(target: TargetSpec) -> ExactAnalysis:
-    """Enumerate both branches, weight by Born probability, aggregate cost.
+    """Weighted sum over the branch table: each forced branch's record and
+    the Born probability it carries.
 
     For the Bell channel both probabilities are exactly 1/2, so the general
     case gives p_success = 0.5 with 0.5 expected bits, and the special cases
     give 1.0 with 1.5 expected bits.
     """
-    basis = basis_from_target(target.alpha, target.beta)
     branches = []
     p_success = 0.0
     expected_bits = 0.0
     for forced in _BRANCH_ORDER:
-        _, probability, _ = measure_in_basis(make_bell(), 0, basis, forced)
         record = run_trial(target, forced)
         branches.append(
-            BranchOutcome(forced, probability, record.bits_sent, record.fidelity)
+            BranchOutcome(forced, record.probability, record.bits_sent, record.fidelity)
         )
         if record.success:
-            p_success += probability
-        expected_bits += probability * record.bits_sent
+            p_success += record.probability
+        expected_bits += record.probability * record.bits_sent
     return ExactAnalysis(p_success, expected_bits, tuple(branches))
 
 
 def trial_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent substream for one trial, a pure function of (seed, index)."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-
-
-def _run_chunk(
-    target: TargetSpec, seed: int, start: int, stop: int
-) -> tuple[int, int]:
-    """Run trials [start, stop) and return (successes, total bits sent).
-
-    A trial is a pure function of its measurement outcome, so the two branch
-    records are computed once per chunk and reused. Each trial still owns its
-    substream and decides the branch with the same draw and the same Born
-    probability ``run_trial`` would use, so the result is identical to calling
-    ``run_trial`` per trial (a regression test asserts this).
-    """
-    basis = basis_from_target(target.alpha, target.beta)
-    _, p_psi, _ = measure_in_basis(make_bell(), 0, basis, Outcome.PSI)
-    by_outcome = {
-        outcome: run_trial(target, outcome)
-        for outcome in (Outcome.PSI, Outcome.PSI_PERP)
-    }
-    successes = 0
-    total_bits = 0
-    for index in range(start, stop):
-        drawn = trial_rng(seed, index).random()
-        record = by_outcome[Outcome.PSI if drawn < p_psi else Outcome.PSI_PERP]
-        successes += record.success
-        total_bits += record.bits_sent
-    return successes, total_bits
+    """The seed's stream advanced by ``index`` draws: its first ``random()``
+    is the draw that decides trial ``index`` in ``monte_carlo``."""
+    return np.random.Generator(np.random.PCG64(seed).advance(index))
 
 
 def monte_carlo(
@@ -215,30 +191,27 @@ def monte_carlo(
 ) -> MonteCarloStats:
     """Seeded statistical estimate of success rate and mean bit cost.
 
-    Trial i draws from a substream keyed by (seed, i), never from a shared
-    stream, and the aggregation is a plain integer sum. Both are independent
-    of chunking, so any worker count yields identical stats for a fixed seed.
+    Trial i takes the i-th uniform of ``trial_rng(seed, 0)`` and lands in the
+    psi branch when the draw falls below that branch's Born probability,
+    exactly as ``run_trial(target, trial_rng(seed, i))`` does. With k such
+    trials the stats are k psi rows plus (trials - k) psi_perp rows of the
+    branch table. Uniforms are drawn ``DRAW_BLOCK`` at a time, so memory
+    stays bounded. ``workers`` is validated but changes nothing: the result
+    is one stream's and identical for every worker count.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers == 1:
-        successes, total_bits = _run_chunk(target, seed, 0, trials)
-    else:
-        bounds = [trials * w // workers for w in range(workers + 1)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    _run_chunk,
-                    [target] * workers,
-                    [seed] * workers,
-                    bounds[:-1],
-                    bounds[1:],
-                )
-            )
-        successes = sum(part[0] for part in parts)
-        total_bits = sum(part[1] for part in parts)
+    perp, psi = (run_trial(target, forced) for forced in _BRANCH_ORDER)
+    rng = trial_rng(seed, 0)
+    hits = 0
+    for start in range(0, trials, DRAW_BLOCK):
+        draws = rng.random(min(DRAW_BLOCK, trials - start))
+        hits += int(np.count_nonzero(draws < psi.probability))
+    misses = trials - hits
+    successes = hits * psi.success + misses * perp.success
+    total_bits = hits * psi.bits_sent + misses * perp.bits_sent
     return MonteCarloStats(
         trials=trials,
         successes=successes,

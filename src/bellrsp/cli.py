@@ -4,7 +4,7 @@ Four subcommands share the target flags (--alpha, --beta-re, --beta-im, --m):
 
   run         trace one protocol trial, optionally forcing a branch
   analyze     exact branch enumeration (success probability, expected bits)
-  montecarlo  seeded statistical estimate, optionally parallel
+  montecarlo  seeded statistical estimate from one stream of draws
   table       cost comparison against published protocols
 
 Exit codes: 0 on success, 2 on flag or validation errors (one-line diagnostic
@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from collections.abc import Sequence
 
@@ -55,6 +56,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_target_flags(p: argparse.ArgumentParser) -> None:
+        # argparse reads "-1.2e-05" as an option unless it matches this; its
+        # own pattern lacks the exponent form, and no option starts -<digit>
+        p._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$"
+        )
         p.add_argument(
             "--alpha", type=float, required=True,
             help="real coefficient of |0...0>",
@@ -107,7 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     mc_p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     mc_p.add_argument(
         "--workers", type=int, default=1,
-        help="parallel worker processes; the result is worker-count independent",
+        help="accepted for compatibility; sampling is one seeded stream, "
+        "so the worker count never changes the result",
     )
 
     table_p = sub.add_parser(
@@ -270,27 +277,10 @@ def _format_table(rows: list[ComparisonRow], fmt: str) -> str:
         return _json_text([row.to_json_dict() for row in rows])
     if fmt == "csv":
         return _csv_text(comparison_csv_rows(rows))
-    cells = [
-        [
-            "protocol_name",
-            "target_family",
-            "channel",
-            "classical_bits",
-            "identification",
-            "source",
-        ]
-    ]
-    for row in rows:
-        cells.append(
-            [
-                row.protocol_name,
-                row.target_family,
-                row.channel,
-                _format_number(row.classical_bits),
-                row.identification,
-                row.source.value,
-            ]
-        )
+    cells = comparison_csv_rows(rows)
+    bits = cells[0].index("classical_bits")
+    for line in cells[1:]:
+        line[bits] = _format_number(line[bits])
     widths = [max(len(line[col]) for line in cells) for col in range(len(cells[0]))]
     return "\n".join(
         "  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip()

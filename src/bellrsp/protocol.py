@@ -32,7 +32,6 @@ from .statevector import (
     PAULI_X,
     ROT90,
     SQRT_HALF,
-    MeasurementBasis,
     Outcome,
     StateVector,
     append_ancillas,
@@ -46,6 +45,7 @@ from .statevector import (
 
 CASE_TOL = 1e-9     # case classification works on user-entered decimals
 SUCCESS_TOL = 1e-9  # success means fidelity >= 1 - SUCCESS_TOL
+MAX_QUBITS = 24     # one dense m-qubit state of complex128 is 256 MiB at m = 24
 
 ABORT_WIRE = "ABORT"
 
@@ -71,8 +71,7 @@ class TargetSpec:
     case_tag: TargetCase
 
     def __post_init__(self) -> None:
-        if self.m < 2:
-            raise BadQubitCount(f"target needs at least 2 qubits, got m={self.m}")
+        _require_qubit_count(self.m)
         if self.alpha < 0:
             raise NegativeAlpha(f"alpha must be >= 0, got {self.alpha}")
         norm_sq = self.alpha**2 + abs(self.beta) ** 2
@@ -98,6 +97,14 @@ class TargetSpec:
             "m": self.m,
             "case_tag": self.case_tag.value,
         }
+
+
+def _require_qubit_count(m: int) -> None:
+    """Reject m outside [2, MAX_QUBITS] before anything of size 2**m exists."""
+    if m < 2:
+        raise BadQubitCount(f"target needs at least 2 qubits, got m={m}")
+    if m > MAX_QUBITS:
+        raise BadQubitCount(f"target needs at most {MAX_QUBITS} qubits, got m={m}")
 
 
 def classify_case(alpha: float, beta: complex) -> TargetCase:
@@ -126,8 +133,7 @@ def canonicalize_target(
     pair of any nonzero norm; otherwise the norm must already be 1 within
     ``INPUT_TOL``.
     """
-    if m < 2:
-        raise BadQubitCount(f"target needs at least 2 qubits, got m={m}")
+    _require_qubit_count(m)
     a = complex(alpha_raw)
     b = complex(beta_raw)
     if not (cmath.isfinite(a) and cmath.isfinite(b)):
@@ -210,8 +216,7 @@ def bob_act(
     (1, 0) applies no gate (a real pair needs none); (1, 1) applies a bit flip,
     which fixes an equatorial pair up to global phase. Abort returns None.
     """
-    if m < 2:
-        raise BadQubitCount(f"target needs at least 2 qubits, got m={m}")
+    _require_qubit_count(m)
     if message.bits is None:
         return None
     if collapsed.n_qubits != 1:
@@ -240,7 +245,8 @@ def build_target_state(target: TargetSpec) -> StateVector:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """Everything observable about one protocol run."""
+    """Everything observable about one protocol run, plus the Born
+    probability of its branch (kept out of the JSON form)."""
 
     outcome: Outcome
     message: ClassicalMessage
@@ -248,6 +254,7 @@ class TrialRecord:
     fidelity: float
     success: bool
     bits_sent: int
+    probability: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -267,10 +274,12 @@ def run_trial(
 
     ``select`` either forces the sender's measurement branch (for exact
     enumeration) or supplies the random draw. Fidelity is computed against
-    ``build_target_state`` modulo global phase; an aborted run scores 0.
+    ``build_target_state`` modulo global phase; an aborted run scores 0. The
+    record carries the Born probability of the branch taken, so the two
+    forced runs make the protocol's whole branch table.
     """
     basis = basis_from_target(target.alpha, target.beta)
-    outcome, _, collapsed = measure_in_basis(make_bell(), 0, basis, select)
+    outcome, probability, collapsed = measure_in_basis(make_bell(), 0, basis, select)
     message = alice_encode(outcome, target.case_tag)
     bob_state = bob_act(message, collapsed, target.m)
     if bob_state is None:
@@ -284,9 +293,5 @@ def run_trial(
         fidelity=fidelity,
         success=fidelity >= 1.0 - SUCCESS_TOL,
         bits_sent=message.bit_count,
+        probability=probability,
     )
-
-
-def target_basis(target: TargetSpec) -> MeasurementBasis:
-    """The sender's measurement basis for this target."""
-    return basis_from_target(target.alpha, target.beta)

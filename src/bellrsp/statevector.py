@@ -35,7 +35,6 @@ SQRT_HALF = 1.0 / np.sqrt(2.0)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 ROT90 = np.array([[0, -1], [1, 0]], dtype=complex)  # maps (b, -a) to (a, b)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) * SQRT_HALF
-IDENTITY2 = np.eye(2, dtype=complex)
 
 
 class Outcome(enum.Enum):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellrsp import (
     LITERATURE_ROWS,
@@ -9,14 +11,18 @@ from bellrsp import (
     RowSource,
     SQRT_HALF,
     TargetCase,
+    basis_from_target,
     canonicalize_target,
     emit_comparison_table,
     exact_analyze,
+    make_bell,
+    measure_in_basis,
     monte_carlo,
     run_trial,
     trial_rng,
 )
-from bellrsp.analysis import _run_chunk, comparison_csv_rows
+from bellrsp import analysis
+from bellrsp.analysis import comparison_csv_rows
 from oracles import random_target
 
 ATOL = 1e-12
@@ -32,6 +38,21 @@ def real_target(m=3):
 
 def equatorial_target(m=5):
     return canonicalize_target(SQRT_HALF, SQRT_HALF * np.exp(1.0j), m)
+
+
+def brute_force(target, seed, trials):
+    """(successes, total bits) from one ``run_trial`` per trial, the definition
+    that ``monte_carlo``'s branch-table count must reproduce."""
+    records = [run_trial(target, trial_rng(seed, i)) for i in range(trials)]
+    return sum(r.success for r in records), sum(r.bits_sent for r in records)
+
+
+def brute_force_cases():
+    rng = np.random.default_rng(103)
+    for kind in ("general", "real", "equatorial"):
+        target = random_target(rng, kind, m=2)
+        seed = int(rng.integers(1, 10_000))
+        yield target, seed, brute_force(target, seed, 400)
 
 
 class TestExactAnalyze:
@@ -91,6 +112,14 @@ class TestExactAnalyze:
             "fidelity",
         }
 
+    def test_branch_probabilities_are_the_records_probabilities(self):
+        for target in (general_target(), real_target(), equatorial_target()):
+            basis = basis_from_target(target.alpha, target.beta)
+            for branch in exact_analyze(target).per_branch:
+                record = run_trial(target, branch.outcome)
+                _, measured, _ = measure_in_basis(make_bell(), 0, basis, branch.outcome)
+                assert branch.probability == record.probability == measured
+
     def test_csv_shape(self):
         rows = exact_analyze(general_target()).to_csv_rows()
         assert rows[0] == ["outcome", "probability", "bits", "fidelity"]
@@ -131,18 +160,29 @@ class TestMonteCarlo:
             assert monte_carlo(target, 3001, seed=9, workers=workers) == serial
 
     def test_chunk_loop_matches_per_trial_run_trial(self):
-        # the chunk loop reuses the two branch records; this pins it to the
-        # brute-force definition, field for field
-        rng = np.random.default_rng(103)
-        for kind in ("general", "real", "equatorial"):
-            target = random_target(rng, kind, m=2)
-            seed = int(rng.integers(1, 10_000))
-            brute = [run_trial(target, trial_rng(seed, i)) for i in range(400)]
-            expected = (
-                sum(r.success for r in brute),
-                sum(r.bits_sent for r in brute),
-            )
-            assert _run_chunk(target, seed, 0, 400) == expected
+        # the block loop counts draws against the branch table; this pins it
+        # to the brute-force definition, field for field
+        for target, seed, expected in brute_force_cases():
+            stats = monte_carlo(target, 400, seed)
+            assert (stats.successes, stats.total_bits) == expected
+
+    def test_block_size_does_not_change_stats(self, monkeypatch):
+        for target, seed, expected in brute_force_cases():
+            for block in (1, 3, 7):
+                monkeypatch.setattr(analysis, "DRAW_BLOCK", block)
+                stats = monte_carlo(target, 400, seed)
+                assert (stats.successes, stats.total_bits) == expected
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**130),
+        trials=st.integers(1, 200),
+        make_target=st.sampled_from((general_target, real_target, equatorial_target)),
+    )
+    def test_any_seed_matches_per_trial_run_trial(self, seed, trials, make_target):
+        target = make_target(m=2)
+        stats = monte_carlo(target, trials, seed)
+        assert (stats.successes, stats.total_bits) == brute_force(target, seed, trials)
 
     def test_stats_fields_are_consistent(self):
         stats = monte_carlo(real_target(), 500, seed=3)

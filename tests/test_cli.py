@@ -225,6 +225,14 @@ class TestExitCodes:
         )
         assert code == 2 and "2 qubits" in err
 
+    @pytest.mark.parametrize("m", ["25", "70", "1000000000"])
+    def test_qubit_count_above_max(self, capsys, m):
+        code, out, err = invoke(
+            capsys, ["run", "--alpha", "0.6", "--beta-re", "0.8", "--m", m]
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: target needs at most 24 qubits, got m={m}\n"
+
     def test_bad_trials(self, capsys):
         code, _, err = invoke(capsys, ["montecarlo", *GENERAL, "--trials", "0"])
         assert code == 2 and "trials" in err
@@ -248,6 +256,20 @@ class TestExitCodes:
         assert excinfo.value.code == 2
         with pytest.raises(SystemExit) as excinfo:
             main([])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("value", ["-1.2e-05", "-1E-3"])
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta-re", "--beta-im"])
+    def test_negative_exponent_values_parse(self, capsys, flag, value):
+        coefficients = {"--alpha": "0.6", "--beta-re": "0", "--beta-im": "0.8"}
+        del coefficients[flag]
+        base = ["run", "--m", "2", "--normalize", "--force-outcome", "psiperp",
+                "--format", "json", *(t for pair in coefficients.items() for t in pair)]
+        spaced = invoke(capsys, [*base, flag, value])
+        joined = invoke(capsys, [*base, f"{flag}={value}"])
+        assert spaced[0] == 0 and spaced == joined
+        with pytest.raises(SystemExit) as excinfo:
+            main([*base, flag, value, "--bogus"])
         assert excinfo.value.code == 2
 
     def test_internal_failure_exits_1(self, capsys, monkeypatch):

@@ -1,11 +1,14 @@
 """Protocol layer: canonicalization, codec, corrections, full trials."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from bellrsp import (
     BadQubitCount,
     ClassicalMessage,
+    MAX_QUBITS,
     MalformedMessage,
     NegativeAlpha,
     NonNormalizedTarget,
@@ -107,6 +110,27 @@ class TestCanonicalizeTarget:
     def test_rejects_small_m(self):
         with pytest.raises(BadQubitCount):
             canonicalize_target(0.6, 0.8, 1)
+
+    def test_accepts_max_m(self):
+        # canonicalizing builds nothing of size 2**m
+        assert canonicalize_target(0.6, 0.8, MAX_QUBITS).m == MAX_QUBITS
+
+    @pytest.mark.parametrize("m", [MAX_QUBITS + 1, 70, 10**9])
+    def test_rejects_large_m_before_allocating(self, m):
+        collapsed = StateVector(1, np.array([0.6, 0.8]))
+        tracemalloc.start()
+        try:
+            for build in (
+                lambda: canonicalize_target(0.6, 0.8, m),
+                lambda: TargetSpec(0.6, 0.8, m, TargetCase.REAL),
+                lambda: bob_act(ClassicalMessage((0,)), collapsed, m),
+            ):
+                with pytest.raises(BadQubitCount, match=f"at most {MAX_QUBITS}"):
+                    build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_eight_decimal_equatorial_input_classifies_correctly(self):
         # truncated decimals miss unit norm by ~8e-10 on the norm; after the
@@ -339,3 +363,4 @@ class TestRunTrial:
         assert payload["success"] is True
         assert payload["bits_sent"] == 1
         assert payload["bob_state"]["n_qubits"] == 2
+        assert "probability" not in payload
