@@ -14,7 +14,7 @@ class NegativeAlpha(BellRspError, ValueError):
 
 
 class BadQubitCount(BellRspError, ValueError):
-    """Requested register size is below the protocol minimum of 2 qubits."""
+    """Qubit count below 2 for a target, or above MAX_QUBITS for any register."""
 
 
 class ZeroProbabilityBranch(BellRspError, ValueError):

@@ -29,6 +29,7 @@ from .errors import (
 )
 from .statevector import (
     INPUT_TOL,
+    MAX_QUBITS,
     PAULI_X,
     ROT90,
     SQRT_HALF,
@@ -45,7 +46,6 @@ from .statevector import (
 
 CASE_TOL = 1e-9     # case classification works on user-entered decimals
 SUCCESS_TOL = 1e-9  # success means fidelity >= 1 - SUCCESS_TOL
-MAX_QUBITS = 24     # one dense m-qubit state of complex128 is 256 MiB at m = 24
 
 ABORT_WIRE = "ABORT"
 

@@ -3,8 +3,7 @@
 Index convention is big endian: qubit 0 is the most significant bit of the
 amplitude index, so reshaping a 2**n vector to [2]*n puts qubit k on axis k.
 Measuring a qubit removes it from the register. States are immutable values;
-every operation returns a new state, which makes them safe to share across
-threads or worker processes.
+every operation returns a new state.
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BadQubitCount,
     DimensionMismatch,
     DuplicateTarget,
     NegativeAlpha,
@@ -28,6 +28,7 @@ NORM_TOL = 1e-12       # internal identities: norms, orthogonality, probabilitie
 INPUT_TOL = 1e-9       # user-supplied coefficients arrive as lossy decimals
 UNITARY_TOL = 1e-10    # max elementwise deviation of U†U from I
 MIN_BRANCH_PROB = 1e-14  # forcing a branch below this is physically meaningless
+MAX_QUBITS = 24        # one dense 24-qubit state of complex128 is 256 MiB
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -199,28 +200,17 @@ def apply_1q(state: StateVector, qubit: int, u: np.ndarray) -> StateVector:
 
 def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
     """CNOT: flips the target bit of amplitudes whose control bit is set."""
-    if control == target:
-        raise SameQubit(f"control and target are both qubit {control}")
-    for q in (control, target):
-        if not 0 <= q < state.n_qubits:
-            raise IndexError(f"qubit {q} out of range for {state.n_qubits} qubits")
-    n = state.n_qubits
-    tensor = state.amplitudes.reshape([2] * n).copy()
-    sel10: list = [slice(None)] * n
-    sel11: list = [slice(None)] * n
-    sel10[control], sel10[target] = 1, 0
-    sel11[control], sel11[target] = 1, 1
-    tensor[tuple(sel10)], tensor[tuple(sel11)] = (
-        tensor[tuple(sel11)].copy(),
-        tensor[tuple(sel10)].copy(),
-    )
-    return StateVector(n, tensor.reshape(-1))
+    return cnot_fanout(state, control, (target,))
 
 
 def append_ancillas(state: StateVector, k: int) -> StateVector:
     """Tensor k fresh |0> qubits onto the low-order end of the register."""
     if k < 0:
         raise ValueError(f"ancilla count must be >= 0, got {k}")
+    if state.n_qubits + k > MAX_QUBITS:
+        raise BadQubitCount(
+            f"register needs at most {MAX_QUBITS} qubits, got {state.n_qubits + k}"
+        )
     if k == 0:
         return state
     zeros = np.zeros(2**k, dtype=complex)
@@ -229,18 +219,31 @@ def append_ancillas(state: StateVector, k: int) -> StateVector:
 
 
 def cnot_fanout(state: StateVector, control: int, targets) -> StateVector:
-    """Sequential CNOTs from one control onto each target qubit, in order.
+    """CNOTs from one control onto each target qubit.
 
-    On alpha|0>+beta|1> tensored with |0...0> this produces the GHZ-class
-    correlation alpha|00...0> + beta|11...1>.
+    The fan-out is one basis permutation: CNOTs sharing a control commute,
+    and together they XOR the control bit into every target bit, which flips
+    the target axes of the control=1 half. On alpha|0>+beta|1> tensored with
+    |0...0> this produces the GHZ-class correlation alpha|00...0> + beta|11...1>.
     """
     targets = list(targets)
     if len(set(targets)) != len(targets):
         raise DuplicateTarget(f"fan-out targets contain duplicates: {targets}")
-    out = state
-    for target in targets:
-        out = apply_cnot(out, control, target)
-    return out
+    if control in targets:
+        raise SameQubit(f"control and target are both qubit {control}")
+    n = state.n_qubits
+    for q in (control, *targets):
+        if not 0 <= q < n:
+            raise IndexError(f"qubit {q} out of range for {n} qubits")
+    if not targets:
+        return state
+    source = state.amplitudes.reshape([2] * n)
+    ones = (slice(None),) * control + (1,)
+    # axes of the control=1 half: the control axis is gone, so later ones shift
+    axes = tuple(t - 1 if t > control else t for t in targets)
+    out = source.copy()
+    out[ones] = np.flip(source[ones], axis=axes)
+    return StateVector(n, out.reshape(-1))
 
 
 def fidelity_mod_phase(a: StateVector, b: StateVector) -> float:

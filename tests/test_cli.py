@@ -51,6 +51,178 @@ def run_console_script(*args):
     return result
 
 
+# `run --force-outcome` text output, captured once and compared byte for byte.
+GOLDEN_TARGETS = {
+    "general": ["--alpha", "0.48", "--beta-re", "0.6", "--beta-im", "0.64"],
+    "real": ["--alpha", "0.28", "--beta-re", "-0.96", "--beta-im", "0"],
+    "equatorial": ["--alpha", "0.70710678", "--beta-re", "0.5", "--beta-im", "0.5"],
+}
+GOLDEN_RUN_TEXT = {
+    ("general", 2, "psi"): (
+        "target     0.48|00> + (0.6+0.64i)|11> (general, m=2)\n"
+        "outcome    psi\n"
+        "message    ABORT\n"
+        "bits_sent  0\n"
+        "fidelity   0\n"
+        "success    false\n"
+        "bob_state  (aborted)\n"
+    ),
+    ("general", 2, "psiperp"): (
+        "target     0.48|00> + (0.6+0.64i)|11> (general, m=2)\n"
+        "outcome    psi_perp\n"
+        "message    0\n"
+        "bits_sent  1\n"
+        "fidelity   1\n"
+        "success    true\n"
+        "bob_state  0.48|00> + (0.6+0.64i)|11>\n"
+    ),
+    ("general", 5, "psi"): (
+        "target     0.48|00000> + (0.6+0.64i)|11111> (general, m=5)\n"
+        "outcome    psi\n"
+        "message    ABORT\n"
+        "bits_sent  0\n"
+        "fidelity   0\n"
+        "success    false\n"
+        "bob_state  (aborted)\n"
+    ),
+    ("general", 5, "psiperp"): (
+        "target     0.48|00000> + (0.6+0.64i)|11111> (general, m=5)\n"
+        "outcome    psi_perp\n"
+        "message    0\n"
+        "bits_sent  1\n"
+        "fidelity   1\n"
+        "success    true\n"
+        "bob_state  0.48|00000> + (0.6+0.64i)|11111>\n"
+    ),
+    ("general", 12, "psi"): (
+        "target     0.48|000000000000> + (0.6+0.64i)|111111111111> (general, m=12)\n"
+        "outcome    psi\n"
+        "message    ABORT\n"
+        "bits_sent  0\n"
+        "fidelity   0\n"
+        "success    false\n"
+        "bob_state  (aborted)\n"
+    ),
+    ("general", 12, "psiperp"): (
+        "target     0.48|000000000000> + (0.6+0.64i)|111111111111> (general, m=12)\n"
+        "outcome    psi_perp\n"
+        "message    0\n"
+        "bits_sent  1\n"
+        "fidelity   1\n"
+        "success    true\n"
+        "bob_state  0.48|000000000000> + (0.6+0.64i)|111111111111>\n"
+    ),
+    ("real", 2, "psi"): (
+        "target     0.28|00> + -0.96|11> (real, m=2)\n"
+        "outcome    psi\n"
+        "message    10\n"
+        "bits_sent  2\n"
+        "fidelity   1\n"
+        "success    true\n"
+        "bob_state  0.28|00> + -0.96|11>\n"
+    ),
+    ("real", 2, "psiperp"): (
+        "target     0.28|00> + -0.96|11> (real, m=2)\n"
+        "outcome    psi_perp\n"
+        "message    0\n"
+        "bits_sent  1\n"
+        "fidelity   1\n"
+        "success    true\n"
+        "bob_state  0.28|00> + -0.96|11>\n"
+    ),
+    ("real", 5, "psi"): (
+        "target     0.28|00000> + -0.96|11111> (real, m=5)\n"
+        "outcome    psi\n"
+        "message    10\n"
+        "bits_sent  2\n"
+        "fidelity   1\n"
+        "success    true\n"
+        "bob_state  0.28|00000> + -0.96|11111>\n"
+    ),
+    ("real", 5, "psiperp"): (
+        "target     0.28|00000> + -0.96|11111> (real, m=5)\n"
+        "outcome    psi_perp\n"
+        "message    0\n"
+        "bits_sent  1\n"
+        "fidelity   1\n"
+        "success    true\n"
+        "bob_state  0.28|00000> + -0.96|11111>\n"
+    ),
+    ("real", 12, "psi"): (
+        "target     0.28|000000000000> + -0.96|111111111111> (real, m=12)\n"
+        "outcome    psi\n"
+        "message    10\n"
+        "bits_sent  2\n"
+        "fidelity   1\n"
+        "success    true\n"
+        "bob_state  0.28|000000000000> + -0.96|111111111111>\n"
+    ),
+    ("real", 12, "psiperp"): (
+        "target     0.28|000000000000> + -0.96|111111111111> (real, m=12)\n"
+        "outcome    psi_perp\n"
+        "message    0\n"
+        "bits_sent  1\n"
+        "fidelity   1\n"
+        "success    true\n"
+        "bob_state  0.28|000000000000> + -0.96|111111111111>\n"
+    ),
+    ("equatorial", 2, "psi"): (
+        "target     0.707106780593|00> + (0.50000000042+0.50000000042i)|11> (equatorial, m=2)\n"
+        "outcome    psi\n"
+        "message    11\n"
+        "bits_sent  2\n"
+        "fidelity   1\n"
+        "success    true\n"
+        "bob_state  (0.50000000042-0.50000000042i)|00> + 0.707106780593|11>\n"
+    ),
+    ("equatorial", 2, "psiperp"): (
+        "target     0.707106780593|00> + (0.50000000042+0.50000000042i)|11> (equatorial, m=2)\n"
+        "outcome    psi_perp\n"
+        "message    0\n"
+        "bits_sent  1\n"
+        "fidelity   1\n"
+        "success    true\n"
+        "bob_state  0.707106780593|00> + (0.50000000042+0.50000000042i)|11>\n"
+    ),
+    ("equatorial", 5, "psi"): (
+        "target     0.707106780593|00000> + (0.50000000042+0.50000000042i)|11111> (equatorial, m=5)\n"
+        "outcome    psi\n"
+        "message    11\n"
+        "bits_sent  2\n"
+        "fidelity   1\n"
+        "success    true\n"
+        "bob_state  (0.50000000042-0.50000000042i)|00000> + 0.707106780593|11111>\n"
+    ),
+    ("equatorial", 5, "psiperp"): (
+        "target     0.707106780593|00000> + (0.50000000042+0.50000000042i)|11111> (equatorial, m=5)\n"
+        "outcome    psi_perp\n"
+        "message    0\n"
+        "bits_sent  1\n"
+        "fidelity   1\n"
+        "success    true\n"
+        "bob_state  0.707106780593|00000> + (0.50000000042+0.50000000042i)|11111>\n"
+    ),
+    ("equatorial", 12, "psi"): (
+        "target     0.707106780593|000000000000> + (0.50000000042+0.50000000042i)|111111111111> (equatorial, m=12)\n"
+        "outcome    psi\n"
+        "message    11\n"
+        "bits_sent  2\n"
+        "fidelity   1\n"
+        "success    true\n"
+        "bob_state  (0.50000000042-0.50000000042i)|000000000000> + 0.707106780593|111111111111>\n"
+    ),
+    ("equatorial", 12, "psiperp"): (
+        "target     0.707106780593|000000000000> + (0.50000000042+0.50000000042i)|111111111111> (equatorial, m=12)\n"
+        "outcome    psi_perp\n"
+        "message    0\n"
+        "bits_sent  1\n"
+        "fidelity   1\n"
+        "success    true\n"
+        "bob_state  0.707106780593|000000000000> + (0.50000000042+0.50000000042i)|111111111111>\n"
+    ),
+}
+
+
 class TestRun:
     def test_forced_perp_json(self, capsys):
         code, out, err = invoke(
@@ -104,6 +276,14 @@ class TestRun:
         assert first == second
         expected = run_trial(canonicalize_target(0.6, 0.8j, 2), trial_rng(7, 0))
         assert json.loads(first[1])["outcome"] == expected.outcome.value
+
+
+    @pytest.mark.parametrize("name, m, outcome", sorted(GOLDEN_RUN_TEXT))
+    def test_forced_text_matches_golden(self, capsys, name, m, outcome):
+        argv = ["run", *GOLDEN_TARGETS[name], f"--m={m}", "--force-outcome", outcome]
+        code, out, err = invoke(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out == GOLDEN_RUN_TEXT[name, m, outcome]
 
 
 class TestAnalyze:

@@ -4,9 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bellrsp import (
     BadQubitCount,
+    CASE_TOL,
     ClassicalMessage,
     MAX_QUBITS,
     MalformedMessage,
@@ -15,6 +18,7 @@ from bellrsp import (
     Outcome,
     SQRT_HALF,
     StateVector,
+    SUCCESS_TOL,
     TargetCase,
     TargetSpec,
     alice_encode,
@@ -364,3 +368,66 @@ class TestRunTrial:
         assert payload["bits_sent"] == 1
         assert payload["bob_state"]["n_qubits"] == 2
         assert "probability" not in payload
+
+
+BOUNDARY_OFFSET = CASE_TOL - 0.5e-9  # 0.5e-9 inside the classification tolerance
+qubit_counts = st.integers(2, 8)
+angles = st.floats(0.0, 2 * np.pi)
+# relative phases that keep an equatorial pair clear of the real axis
+equatorial_phases = st.floats(0.01, np.pi - 0.01).flatmap(
+    lambda theta: st.sampled_from((theta, -theta))
+)
+
+
+def assert_both_branches_succeed(target):
+    for branch in (Outcome.PSI, Outcome.PSI_PERP):
+        record = run_trial(target, branch)
+        assert record.fidelity >= 1.0 - SUCCESS_TOL
+        assert record.success
+
+
+class TestRunTrialProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(phi=angles, m=qubit_counts)
+    def test_real_targets_succeed_on_both_branches(self, phi, m):
+        target = canonicalize_target(np.cos(phi), np.sin(phi), m)
+        assert target.case_tag is TargetCase.REAL
+        assert_both_branches_succeed(target)
+
+    @settings(max_examples=30, deadline=None)
+    @given(theta=equatorial_phases, m=qubit_counts)
+    def test_equatorial_targets_succeed_on_both_branches(self, theta, m):
+        target = canonicalize_target(SQRT_HALF, SQRT_HALF * np.exp(1j * theta), m)
+        assert target.case_tag is TargetCase.EQUATORIAL
+        assert_both_branches_succeed(target)
+
+    @settings(max_examples=30, deadline=None)
+    @given(t=st.floats(0.0, np.pi / 2), theta=angles, m=qubit_counts)
+    def test_general_psi_branch_aborts_with_zero_bits(self, t, theta, m):
+        target = canonicalize_target(np.cos(t), np.sin(t) * np.exp(1j * theta), m)
+        assume(target.case_tag is TargetCase.GENERAL)
+        record = run_trial(target, Outcome.PSI)
+        assert record.message.is_abort
+        assert record.bits_sent == 0
+        assert not record.success
+
+    @settings(max_examples=30, deadline=None)
+    @given(phi=angles, sign=st.sampled_from((1.0, -1.0)), m=qubit_counts)
+    def test_pairs_inside_the_real_tolerance_succeed(self, phi, sign, m):
+        beta = complex(np.sin(phi), sign * BOUNDARY_OFFSET)
+        target = canonicalize_target(np.cos(phi), beta, m, normalize=True)
+        assert target.case_tag is TargetCase.REAL
+        assert abs(target.beta.imag) == pytest.approx(BOUNDARY_OFFSET, abs=1e-15)
+        assert_both_branches_succeed(target)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        theta=equatorial_phases, sign=st.sampled_from((1.0, -1.0)), m=qubit_counts
+    )
+    def test_pairs_inside_the_equatorial_tolerance_succeed(self, theta, sign, m):
+        alpha = SQRT_HALF + sign * BOUNDARY_OFFSET
+        beta = np.sqrt(1.0 - alpha**2) * np.exp(1j * theta)
+        target = canonicalize_target(alpha, beta, m, normalize=True)
+        assert target.case_tag is TargetCase.EQUATORIAL
+        assert abs(target.alpha - SQRT_HALF) == pytest.approx(BOUNDARY_OFFSET, abs=1e-15)
+        assert_both_branches_succeed(target)

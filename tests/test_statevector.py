@@ -1,10 +1,16 @@
 """Statevector engine: gates, measurement, tensoring, fidelity, identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellrsp import (
     HADAMARD,
+    MAX_QUBITS,
+    BadQubitCount,
     DimensionMismatch,
     DuplicateTarget,
     MeasurementBasis,
@@ -335,6 +341,18 @@ class TestAppendAncillas:
         explicit = np.kron(make_bell().amplitudes, np.array([1.0, 0, 0, 0]))
         np.testing.assert_allclose(out.amplitudes, explicit, atol=ATOL)
 
+    @pytest.mark.parametrize("k", [70, 10**9])
+    def test_rejects_register_above_max_before_allocating(self, k):
+        state = StateVector(1, np.array([1.0, 0.0]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BadQubitCount, match=f"at most {MAX_QUBITS}"):
+                append_ancillas(state, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestCnotFanout:
     def test_three_qubit_chain(self):
@@ -366,6 +384,57 @@ class TestCnotFanout:
         np.testing.assert_allclose(
             out.amplitudes, product @ state.amplitudes, atol=ATOL
         )
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_dense_oracle_and_sequential_cnots(self, data):
+        n = data.draw(st.integers(2, 6), label="n")
+        control = data.draw(st.integers(0, n - 1), label="control")
+        others = [q for q in range(n) if q != control]
+        order = data.draw(st.permutations(others), label="order")
+        targets = order[: data.draw(st.integers(0, len(order)), label="count")]
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        state = random_state(np.random.default_rng(seed), n)
+        out = cnot_fanout(state, control, targets)
+        product = np.eye(2**n, dtype=complex)
+        sequential = state
+        for target in targets:
+            product = dense_cnot(n, control, target) @ product
+            sequential = apply_cnot(sequential, control, target)
+        np.testing.assert_allclose(
+            out.amplitudes, product @ state.amplitudes, atol=ATOL
+        )
+        np.testing.assert_allclose(out.amplitudes, sequential.amplitudes, atol=ATOL)
+
+    def test_empty_target_list_returns_the_same_state(self):
+        state = make_bell()
+        assert cnot_fanout(state, control=1, targets=[]) is state
+
+    def test_control_among_targets_rejected(self):
+        state = append_ancillas(make_bell(), 1)
+        with pytest.raises(SameQubit):
+            cnot_fanout(state, control=1, targets=[2, 1])
+
+    @pytest.mark.parametrize(
+        "control, targets", [(3, [1]), (-1, [1]), (0, [1, 3]), (0, [-1])]
+    )
+    def test_index_bounds(self, control, targets):
+        state = append_ancillas(make_bell(), 1)
+        with pytest.raises(IndexError):
+            cnot_fanout(state, control, targets)
+
+    def test_one_validated_state_per_fanout(self, monkeypatch):
+        state = append_ancillas(StateVector(1, np.array([0.6, 0.8j])), 5)
+        validated = []
+        original = StateVector.__post_init__
+
+        def counting(self):
+            validated.append(self.n_qubits)
+            original(self)
+
+        monkeypatch.setattr(StateVector, "__post_init__", counting)
+        cnot_fanout(state, control=0, targets=range(1, 6))
+        assert validated == [6]
 
 
 class TestFidelityModPhase:
