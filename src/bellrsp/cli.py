@@ -40,7 +40,7 @@ from .protocol import (
     canonicalize_target,
     run_trial,
 )
-from .statevector import Outcome, StateVector
+from .statevector import GhzState, Outcome
 
 _FORCE_CHOICES = {"psi": Outcome.PSI, "psiperp": Outcome.PSI_PERP}
 
@@ -192,14 +192,14 @@ def _format_amplitude(z: complex) -> str:
     return f"({z.real:.12g}{z.imag:+.12g}i)"
 
 
-def format_state(state: StateVector) -> str:
-    """Readable ket sum over the nonzero amplitudes, e.g. 0.6|00> + 0.8|11>."""
+def format_state(state: GhzState) -> str:
+    """Readable ket sum over the nonzero of its two terms, e.g.
+    0.6|00> + 0.8|11>; read from the seed, so nothing of size 2**m is built."""
     terms = []
-    for index, amp in enumerate(state.amplitudes):
+    for amp, bit in zip(state.seed.amplitudes, "01"):
         if abs(amp) < 1e-12:
             continue
-        bits = format(index, f"0{state.n_qubits}b")
-        terms.append(f"{_format_amplitude(complex(amp))}|{bits}>")
+        terms.append(f"{_format_amplitude(complex(amp))}|{bit * state.n_qubits}>")
     return " + ".join(terms) if terms else "0"
 
 

@@ -33,13 +33,11 @@ from .statevector import (
     PAULI_X,
     ROT90,
     SQRT_HALF,
+    GhzState,
     Outcome,
     StateVector,
-    append_ancillas,
     apply_1q,
     basis_from_target,
-    cnot_fanout,
-    fidelity_mod_phase,
     make_bell,
     measure_in_basis,
 )
@@ -208,13 +206,15 @@ def alice_encode(outcome: Outcome, case_tag: TargetCase) -> ClassicalMessage:
 
 def bob_act(
     message: ClassicalMessage, collapsed: StateVector, m: int
-) -> StateVector | None:
+) -> GhzState | None:
     """Receiver's response: corrective gate selected by the message, then
     CNOT fan-out of the corrected qubit over m-1 fresh ancillas.
 
     Payload (0,) applies the rotation taking (beta, -alpha) to (alpha, beta);
     (1, 0) applies no gate (a real pair needs none); (1, 1) applies a bit flip,
     which fixes an equatorial pair up to global phase. Abort returns None.
+    The fanned-out state is returned as a ``GhzState`` seeded by the
+    corrected qubit: two amplitudes, densified only when read.
     """
     _require_qubit_count(m)
     if message.bits is None:
@@ -231,16 +231,13 @@ def bob_act(
         corrected = apply_1q(collapsed, 0, PAULI_X)
     else:  # unreachable for messages built by this codec
         raise MalformedMessage(f"payload {message.bits!r} is outside the codec")
-    extended = append_ancillas(corrected, m - 1)
-    return cnot_fanout(extended, control=0, targets=range(1, m))
+    return GhzState(m, corrected)
 
 
-def build_target_state(target: TargetSpec) -> StateVector:
-    """The m-qubit goal state alpha|00...0> + beta|11...1>."""
-    amps = np.zeros(2**target.m, dtype=complex)
-    amps[0] = target.alpha
-    amps[-1] = target.beta
-    return StateVector(target.m, amps)
+def build_target_state(target: TargetSpec) -> GhzState:
+    """The m-qubit goal state alpha|00...0> + beta|11...1>, held as the
+    1-qubit seed (alpha, beta)."""
+    return GhzState(target.m, StateVector(1, [target.alpha, target.beta]))
 
 
 @dataclass(frozen=True)
@@ -250,7 +247,7 @@ class TrialRecord:
 
     outcome: Outcome
     message: ClassicalMessage
-    bob_state: StateVector | None
+    bob_state: GhzState | None
     fidelity: float
     success: bool
     bits_sent: int
@@ -273,10 +270,13 @@ def run_trial(
     """One full protocol run against a fresh Bell pair.
 
     ``select`` either forces the sender's measurement branch (for exact
-    enumeration) or supplies the random draw. Fidelity is computed against
-    ``build_target_state`` modulo global phase; an aborted run scores 0. The
-    record carries the Born probability of the branch taken, so the two
-    forced runs make the protocol's whole branch table.
+    enumeration) or supplies the random draw. Fidelity is |<bob|goal>|**2
+    with the goal from ``build_target_state``, blind to global phase and
+    capped at 1 so rounding never reports more. Both states are their seeds
+    fanned out alike, so it is the seeds' overlap and no 2**m array is
+    built. An aborted run scores 0. The record carries the Born probability
+    of the branch taken, so the two forced runs make the protocol's whole
+    branch table.
     """
     basis = basis_from_target(target.alpha, target.beta)
     outcome, probability, collapsed = measure_in_basis(make_bell(), 0, basis, select)
@@ -285,7 +285,9 @@ def run_trial(
     if bob_state is None:
         fidelity = 0.0
     else:
-        fidelity = fidelity_mod_phase(bob_state, build_target_state(target))
+        goal = build_target_state(target)
+        overlap = np.vdot(bob_state.seed.amplitudes, goal.seed.amplitudes)
+        fidelity = min(1.0, float(abs(overlap) ** 2))
     return TrialRecord(
         outcome=outcome,
         message=message,

@@ -3,12 +3,14 @@
 Index convention is big endian: qubit 0 is the most significant bit of the
 amplitude index, so reshaping a 2**n vector to [2]*n puts qubit k on axis k.
 Measuring a qubit removes it from the register. States are immutable values;
-every operation returns a new state.
+every operation returns a new state. ``GhzState`` holds a fanned-out state
+alpha|0...0> + beta|1...1> as its two amplitudes and densifies it on demand.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +96,34 @@ class StateVector:
     def from_json_dict(cls, data: dict) -> StateVector:
         amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
         return cls(int(data["n_qubits"]), amps)
+
+
+@dataclass(frozen=True, eq=False)
+class GhzState:
+    """seed[0]|0...0> + seed[1]|1...1> on n_qubits qubits, held as its seed.
+
+    This is what a CNOT fan-out of the 1-qubit ``seed`` over n_qubits - 1
+    fresh ancillas gives, so two amplitudes describe it at any size. The
+    dense ``amplitudes`` are built by that very chain on first use and
+    cached; above ``MAX_QUBITS`` they raise ``BadQubitCount`` before
+    anything is allocated.
+    """
+
+    n_qubits: int
+    seed: StateVector
+
+    def __post_init__(self) -> None:
+        if self.n_qubits < 1:
+            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
+        if self.seed.n_qubits != 1:
+            raise ValueError(f"seed must be 1 qubit, got {self.seed.n_qubits}")
+
+    @functools.cached_property
+    def amplitudes(self) -> np.ndarray:
+        extended = append_ancillas(self.seed, self.n_qubits - 1)
+        return cnot_fanout(extended, 0, range(1, self.n_qubits)).amplitudes
+
+    to_json_dict = StateVector.to_json_dict  # same JSON form, densified
 
 
 @dataclass(frozen=True, eq=False)

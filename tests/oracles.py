@@ -9,7 +9,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from bellrsp import SQRT_HALF, TargetSpec, canonicalize_target
+from bellrsp import (
+    PAULI_X,
+    ROT90,
+    SQRT_HALF,
+    Outcome,
+    StateVector,
+    TargetCase,
+    TargetSpec,
+    append_ancillas,
+    apply_1q,
+    basis_from_target,
+    canonicalize_target,
+    cnot_fanout,
+    make_bell,
+    measure_in_basis,
+)
 
 
 def dense_cnot(n: int, control: int, target: int) -> np.ndarray:
@@ -84,3 +99,21 @@ def random_target(
     if m is None:
         m = int(rng.integers(2, 11))
     return canonicalize_target(alpha, beta, m)
+
+
+def dense_receiver_state(target: TargetSpec, branch: Outcome) -> StateVector | None:
+    """The receiver's m-qubit state built densely, gate by gate: measure the
+    Bell pair, correct the collapsed qubit as the branch and case require,
+    then tensor m-1 ancillas and fan out. None where the run aborts."""
+    basis = basis_from_target(target.alpha, target.beta)
+    _, _, collapsed = measure_in_basis(make_bell(), 0, basis, branch)
+    if branch is Outcome.PSI_PERP:
+        corrected = apply_1q(collapsed, 0, ROT90)
+    elif target.case_tag is TargetCase.REAL:
+        corrected = collapsed
+    elif target.case_tag is TargetCase.EQUATORIAL:
+        corrected = apply_1q(collapsed, 0, PAULI_X)
+    else:
+        return None
+    extended = append_ancillas(corrected, target.m - 1)
+    return cnot_fanout(extended, 0, range(1, target.m))

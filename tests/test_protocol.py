@@ -26,10 +26,13 @@ from bellrsp import (
     build_target_state,
     canonicalize_target,
     classify_case,
+    exact_analyze,
     fidelity_mod_phase,
+    monte_carlo,
     run_trial,
 )
 from oracles import (
+    dense_receiver_state,
     random_equatorial_pair,
     random_general_pair,
     random_pair,
@@ -431,3 +434,148 @@ class TestRunTrialProperties:
         assert target.case_tag is TargetCase.EQUATORIAL
         assert abs(target.alpha - SQRT_HALF) == pytest.approx(BOUNDARY_OFFSET, abs=1e-15)
         assert_both_branches_succeed(target)
+
+
+def target_of_case(case, m, t, theta):
+    """A canonical target of the case from two angles; None if they miss it."""
+    if case == "real":
+        target = canonicalize_target(np.cos(t), np.sin(t), m)
+    elif case == "equatorial":
+        beta = SQRT_HALF * np.exp(1j * theta)
+        target = canonicalize_target(SQRT_HALF, beta, m)
+    else:
+        beta = np.sin(t) * np.exp(1j * theta)
+        target = canonicalize_target(np.cos(t), beta, m)
+    return target if target.case_tag.value == case else None
+
+
+case_targets = st.builds(
+    target_of_case,
+    st.sampled_from(("general", "real", "equatorial")),
+    st.integers(2, 12),
+    angles,
+    equatorial_phases,
+).filter(lambda target: target is not None)
+branches = st.sampled_from((Outcome.PSI, Outcome.PSI_PERP))
+
+
+class TestReceiverStateAgainstDenseOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(target=case_targets, branch=branches)
+    def test_fidelity_stays_within_unit_interval(self, target, branch):
+        assert 0.0 <= run_trial(target, branch).fidelity <= 1.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(target=case_targets, branch=branches)
+    def test_two_amplitude_record_matches_dense_chain(self, target, branch):
+        record = run_trial(target, branch)
+        dense = dense_receiver_state(target, branch)
+        if dense is None:
+            assert record.bob_state is None
+            return
+        # bytes, so signed zeros must match too
+        assert record.bob_state.amplitudes.tobytes() == dense.amplitudes.tobytes()
+        densified = fidelity_mod_phase(record.bob_state, build_target_state(target))
+        assert abs(record.fidelity - densified) <= 1e-12
+
+    def test_json_keeps_signed_zeros_of_the_dense_chain(self):
+        target = canonicalize_target(0.6, -0.8, 3)
+        payload = run_trial(target, Outcome.PSI_PERP).to_json_dict()["bob_state"]
+        dense = dense_receiver_state(target, Outcome.PSI_PERP)
+        assert payload == dense.to_json_dict()
+        assert any(np.signbit(re) and re == 0.0 for re, _ in payload["amplitudes"])
+
+
+def peak_traced_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+LAZY_M = 20  # a dense state here is 16 MiB, so one built would show
+
+
+class TestNothingDenseAtLargeM:
+    @pytest.mark.parametrize("case", ["general", "real", "equatorial"])
+    @pytest.mark.parametrize("branch", [Outcome.PSI, Outcome.PSI_PERP])
+    def test_run_trial(self, case, branch):
+        target = target_of_case(case, LAZY_M, 0.9, 0.7)
+        assert peak_traced_bytes(lambda: run_trial(target, branch)) < 2**20
+
+    def test_exact_analyze(self):
+        target = target_of_case("real", LAZY_M, 0.9, 0.7)
+        assert peak_traced_bytes(lambda: exact_analyze(target)) < 2**20
+
+    def test_monte_carlo(self):
+        target = target_of_case("general", LAZY_M, 0.9, 0.7)
+        assert peak_traced_bytes(lambda: monte_carlo(target, 1000, 5)) < 2**20
+
+
+class TestCanonicalizeProperties:
+    moduli = st.floats(0.05, 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(r_a=moduli, r_b=moduli, phi_a=angles, phi_b=angles, m=st.integers(2, 12))
+    def test_idempotent_up_to_rounding(self, r_a, r_b, phi_a, phi_b, m):
+        # the norm of a canonical pair can be 1 +- 1 ulp, so a second pass may
+        # rescale by that ulp; nothing else moves
+        first = canonicalize_target(
+            r_a * np.exp(1j * phi_a), r_b * np.exp(1j * phi_b), m, normalize=True
+        )
+        again = canonicalize_target(first.alpha, first.beta, m)
+        assert (again.m, again.case_tag) == (first.m, first.case_tag)
+        assert abs(again.alpha - first.alpha) <= 1e-15
+        assert abs(again.beta - first.beta) <= 1e-15
+        assert canonicalize_target(again.alpha, again.beta, m).case_tag is first.case_tag
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        r_a=st.one_of(st.just(0.0), moduli),
+        r_b=moduli,
+        phi_b=angles,
+        gamma=angles,
+        m=st.integers(2, 12),
+    )
+    def test_global_phase_is_removed(self, r_a, r_b, phi_b, gamma, m):
+        alpha, beta = r_a, r_b * np.exp(1j * phi_b)
+        phase = np.exp(1j * gamma)
+        plain = canonicalize_target(alpha, beta, m, normalize=True)
+        rotated = canonicalize_target(phase * alpha, phase * beta, m, normalize=True)
+        assert rotated.case_tag is plain.case_tag
+        assert abs(rotated.alpha - plain.alpha) <= 1e-14
+        assert abs(rotated.beta - plain.beta) <= 1e-14
+        if r_a == 0.0:
+            assert rotated.alpha == 0.0
+            assert rotated.beta == pytest.approx(1.0, abs=1e-15)
+            assert rotated.case_tag is TargetCase.REAL
+
+
+CODEC_MESSAGES = [
+    ClassicalMessage((0,)),
+    ClassicalMessage((1, 0)),
+    ClassicalMessage((1, 1)),
+    ClassicalMessage(None),
+]
+
+
+class TestWireCodec:
+    @pytest.mark.parametrize("message", CODEC_MESSAGES, ids=lambda m: m.to_wire())
+    def test_round_trip(self, message):
+        assert ClassicalMessage.from_wire(message.to_wire()) == message
+
+    def test_every_other_short_bit_string_is_rejected(self):
+        valid = {message.to_wire() for message in CODEC_MESSAGES}
+        rejected = 0
+        for length in range(5):
+            for index in range(2**length):
+                text = format(index, f"0{length}b") if length else ""
+                if text in valid:
+                    continue
+                with pytest.raises(MalformedMessage):
+                    ClassicalMessage.from_wire(text)
+                rejected += 1
+        assert rejected == 31 - 3

@@ -13,6 +13,7 @@ from bellrsp import (
     BadQubitCount,
     DimensionMismatch,
     DuplicateTarget,
+    GhzState,
     MeasurementBasis,
     NegativeAlpha,
     NonNormalizedTarget,
@@ -435,6 +436,40 @@ class TestCnotFanout:
         monkeypatch.setattr(StateVector, "__post_init__", counting)
         cnot_fanout(state, control=0, targets=range(1, 6))
         assert validated == [6]
+
+
+class TestGhzState:
+    def test_amplitudes_are_the_dense_fanout_of_the_seed(self):
+        seed = StateVector(1, np.array([0.6, -0.8j]))
+        for n in range(1, 6):
+            dense = cnot_fanout(append_ancillas(seed, n - 1), 0, range(1, n))
+            state = GhzState(n, seed)
+            assert state.amplitudes.tobytes() == dense.amplitudes.tobytes()
+            assert state.to_json_dict() == dense.to_json_dict()
+
+    def test_amplitudes_are_built_once_and_frozen(self):
+        state = GhzState(3, StateVector(1, np.array([0.6, 0.8])))
+        assert state.amplitudes is state.amplitudes
+        with pytest.raises(ValueError):
+            state.amplitudes[0] = 1.0
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError, match=">= 1"):
+            GhzState(0, StateVector(1, np.array([1.0, 0.0])))
+        with pytest.raises(ValueError, match="1 qubit"):
+            GhzState(3, make_bell())
+
+    @pytest.mark.parametrize("n", [70, 10**9])
+    def test_densifying_above_max_raises_before_allocating(self, n):
+        state = GhzState(n, StateVector(1, np.array([0.6, 0.8])))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BadQubitCount, match=f"at most {MAX_QUBITS}"):
+                state.amplitudes
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestFidelityModPhase:
