@@ -23,7 +23,7 @@ for name, target in targets.items():
     print(f"  expected_bits  {analysis.expected_bits:.12f}")
     for branch in analysis.per_branch:
         print(f"    {branch.outcome.value:<9} p={branch.probability:.3f}  "
-              f"bits={branch.bits}  fidelity={branch.fidelity:.6f}")
+              f"bits={branch.bits_sent}  fidelity={branch.fidelity:.6f}")
     print()
 
 print("The figures do not depend on the register size m:")

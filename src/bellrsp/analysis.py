@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import TargetCase, TargetSpec, run_trial
+from .protocol import TargetCase, TargetSpec, TrialRecord, run_trial
 from .statevector import Outcome
 
 _BRANCH_ORDER = (Outcome.PSI_PERP, Outcome.PSI)
@@ -27,45 +27,28 @@ DRAW_BLOCK = 2**20  # uniforms held at once by monte_carlo: 8 MiB for any trial 
 
 
 @dataclass(frozen=True)
-class BranchOutcome:
-    """One forced branch: its probability, message length, and fidelity."""
-
-    outcome: Outcome
-    probability: float
-    bits: int
-    fidelity: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "outcome": self.outcome.value,
-            "probability": self.probability,
-            "bits": self.bits,
-            "fidelity": self.fidelity,
-        }
-
-
-@dataclass(frozen=True)
 class ExactAnalysis:
-    """Branch-enumeration result: success probability and expected bit cost."""
+    """The branch table (the two forced trial records) and its weighted
+    sums: success probability and expected bit cost."""
 
     p_success: float
     expected_bits: float
-    per_branch: tuple[BranchOutcome, ...]
+    per_branch: tuple[TrialRecord, ...]
 
     def to_json_dict(self) -> dict:
         return {
             "p_success": self.p_success,
             "expected_bits": self.expected_bits,
-            "per_branch": [branch.to_json_dict() for branch in self.per_branch],
+            "per_branch": [
+                {
+                    "outcome": record.outcome.value,
+                    "probability": record.probability,
+                    "bits": record.bits_sent,
+                    "fidelity": record.fidelity,
+                }
+                for record in self.per_branch
+            ],
         }
-
-    def to_csv_rows(self) -> list[list]:
-        rows = [["outcome", "probability", "bits", "fidelity"]]
-        for branch in self.per_branch:
-            rows.append(
-                [branch.outcome.value, branch.probability, branch.bits, branch.fidelity]
-            )
-        return rows
 
 
 @dataclass(frozen=True)
@@ -88,19 +71,6 @@ class MonteCarloStats:
             "mean_bits": self.mean_bits,
             "seed": self.seed,
         }
-
-    def to_csv_rows(self) -> list[list]:
-        return [
-            ["trials", "successes", "total_bits", "success_rate", "mean_bits", "seed"],
-            [
-                self.trials,
-                self.successes,
-                self.total_bits,
-                self.success_rate,
-                self.mean_bits,
-                self.seed,
-            ],
-        ]
 
 
 class RowSource(enum.Enum):
@@ -166,18 +136,11 @@ def exact_analyze(target: TargetSpec) -> ExactAnalysis:
     case gives p_success = 0.5 with 0.5 expected bits, and the special cases
     give 1.0 with 1.5 expected bits.
     """
-    branches = []
-    p_success = 0.0
-    expected_bits = 0.0
-    for forced in _BRANCH_ORDER:
-        record = run_trial(target, forced)
-        branches.append(
-            BranchOutcome(forced, record.probability, record.bits_sent, record.fidelity)
-        )
-        if record.success:
-            p_success += record.probability
-        expected_bits += record.probability * record.bits_sent
-    return ExactAnalysis(p_success, expected_bits, tuple(branches))
+    records = tuple(run_trial(target, forced) for forced in _BRANCH_ORDER)
+    # the 0.0 start keeps a float when no branch succeeds
+    p_success = sum((r.probability for r in records if r.success), 0.0)
+    expected_bits = sum((r.probability * r.bits_sent for r in records), 0.0)
+    return ExactAnalysis(p_success, expected_bits, records)
 
 
 def trial_rng(seed: int, index: int) -> np.random.Generator:
@@ -243,28 +206,3 @@ def emit_comparison_table(target: TargetSpec) -> list[ComparisonRow]:
         source=RowSource.COMPUTED,
     )
     return [*LITERATURE_ROWS, computed]
-
-
-def comparison_csv_rows(rows: list[ComparisonRow]) -> list[list]:
-    out = [
-        [
-            "protocol_name",
-            "target_family",
-            "channel",
-            "classical_bits",
-            "identification",
-            "source",
-        ]
-    ]
-    for row in rows:
-        out.append(
-            [
-                row.protocol_name,
-                row.target_family,
-                row.channel,
-                row.classical_bits,
-                row.identification,
-                row.source.value,
-            ]
-        )
-    return out

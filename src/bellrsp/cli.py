@@ -28,7 +28,6 @@ from .analysis import (
     MonteCarloStats,
     emit_comparison_table,
     exact_analyze,
-    comparison_csv_rows,
     monte_carlo,
     trial_rng,
 )
@@ -174,14 +173,22 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, ensure_ascii=False)
 
 
-def _csv_text(rows: list[list]) -> str:
+def _csv_text(records: list[dict]) -> str:
+    """Same-keyed records as CSV: the keys are the header, then one row each."""
     buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    writer = csv.DictWriter(buffer, fieldnames=list(records[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(records)
     return buffer.getvalue().rstrip("\n")
 
 
 def _format_number(value: float) -> str:
     return f"{value:.12g}"
+
+
+def _format_value(value) -> str:
+    """A JSON record's value as text: floats to 12 digits, all else by ``str``."""
+    return _format_number(value) if isinstance(value, float) else str(value)
 
 
 def _format_amplitude(z: complex) -> str:
@@ -209,16 +216,16 @@ def _format_trial(record: TrialRecord, target: TargetSpec, fmt: str) -> str:
         payload["target"] = target.to_json_dict()
         return _json_text(payload)
     if fmt == "csv":
+        # an explicit row: bob_state's JSON form would build the 2**m array
         return _csv_text(
             [
-                ["outcome", "message", "fidelity", "success", "bits_sent"],
-                [
-                    record.outcome.value,
-                    record.message.to_wire(),
-                    record.fidelity,
-                    str(record.success).lower(),
-                    record.bits_sent,
-                ],
+                {
+                    "outcome": record.outcome.value,
+                    "message": record.message.to_wire(),
+                    "fidelity": record.fidelity,
+                    "success": str(record.success).lower(),
+                    "bits_sent": record.bits_sent,
+                }
             ]
         )
     lines = [
@@ -238,10 +245,11 @@ def _format_trial(record: TrialRecord, target: TargetSpec, fmt: str) -> str:
 
 
 def _format_analysis(analysis: ExactAnalysis, fmt: str) -> str:
+    payload = analysis.to_json_dict()
     if fmt == "json":
-        return _json_text(analysis.to_json_dict())
+        return _json_text(payload)
     if fmt == "csv":
-        return _csv_text(analysis.to_csv_rows())
+        return _csv_text(payload["per_branch"])
     lines = [
         f"p_success      {_format_number(analysis.p_success)}",
         f"expected_bits  {_format_number(analysis.expected_bits)}",
@@ -250,37 +258,28 @@ def _format_analysis(analysis: ExactAnalysis, fmt: str) -> str:
         lines.append(
             f"branch {branch.outcome.value:<9} "
             f"probability {_format_number(branch.probability):<6} "
-            f"bits {branch.bits}  fidelity {_format_number(branch.fidelity)}"
+            f"bits {branch.bits_sent}  fidelity {_format_number(branch.fidelity)}"
         )
     return "\n".join(lines)
 
 
 def _format_stats(stats: MonteCarloStats, fmt: str) -> str:
+    payload = stats.to_json_dict()
     if fmt == "json":
-        return _json_text(stats.to_json_dict())
+        return _json_text(payload)
     if fmt == "csv":
-        return _csv_text(stats.to_csv_rows())
-    return "\n".join(
-        [
-            f"trials        {stats.trials}",
-            f"successes     {stats.successes}",
-            f"total_bits    {stats.total_bits}",
-            f"success_rate  {_format_number(stats.success_rate)}",
-            f"mean_bits     {_format_number(stats.mean_bits)}",
-            f"seed          {stats.seed}",
-        ]
-    )
+        return _csv_text([payload])
+    return "\n".join(f"{key:<14}{_format_value(value)}" for key, value in payload.items())
 
 
 def _format_table(rows: list[ComparisonRow], fmt: str) -> str:
+    records = [row.to_json_dict() for row in rows]
     if fmt == "json":
-        return _json_text([row.to_json_dict() for row in rows])
+        return _json_text(records)
     if fmt == "csv":
-        return _csv_text(comparison_csv_rows(rows))
-    cells = comparison_csv_rows(rows)
-    bits = cells[0].index("classical_bits")
-    for line in cells[1:]:
-        line[bits] = _format_number(line[bits])
+        return _csv_text(records)
+    cells = [list(records[0])]
+    cells += [[_format_value(value) for value in record.values()] for record in records]
     widths = [max(len(line[col]) for line in cells) for col in range(len(cells[0]))]
     return "\n".join(
         "  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip()

@@ -34,10 +34,9 @@ MAX_QUBITS = 24        # one dense 24-qubit state of complex128 is 256 MiB
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
-# 2x2 gates used by the protocol and its tests.
+# 2x2 gates used by the protocol's corrections.
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 ROT90 = np.array([[0, -1], [1, 0]], dtype=complex)  # maps (b, -a) to (a, b)
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) * SQRT_HALF
 
 
 class Outcome(enum.Enum):
@@ -91,11 +90,6 @@ class StateVector:
             "n_qubits": self.n_qubits,
             "amplitudes": [[z.real, z.imag] for z in self.amplitudes],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> StateVector:
-        amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
-        return cls(int(data["n_qubits"]), amps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,11 +222,6 @@ def apply_1q(state: StateVector, qubit: int, u: np.ndarray) -> StateVector:
     return StateVector(state.n_qubits, out.reshape(-1))
 
 
-def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
-    """CNOT: flips the target bit of amplitudes whose control bit is set."""
-    return cnot_fanout(state, control, (target,))
-
-
 def append_ancillas(state: StateVector, k: int) -> StateVector:
     """Tensor k fresh |0> qubits onto the low-order end of the register."""
     if k < 0:
@@ -277,12 +266,13 @@ def cnot_fanout(state: StateVector, control: int, targets) -> StateVector:
 
 
 def fidelity_mod_phase(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|**2, insensitive to any global phase on either state."""
+    """|<a|b>|**2, insensitive to any global phase on either state, and
+    capped at 1 so rounding never reports more."""
     if a.n_qubits != b.n_qubits:
         raise DimensionMismatch(
             f"cannot compare {a.n_qubits}-qubit and {b.n_qubits}-qubit states"
         )
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
+    return min(1.0, float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2))
 
 
 def check_decomposition(alpha: float, beta: complex) -> float:

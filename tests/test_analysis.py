@@ -22,7 +22,6 @@ from bellrsp import (
     trial_rng,
 )
 from bellrsp import analysis
-from bellrsp.analysis import comparison_csv_rows
 from oracles import random_target
 
 ATOL = 1e-12
@@ -89,7 +88,7 @@ class TestExactAnalyze:
             p = sum(
                 b.probability for b in analysis.per_branch if b.fidelity >= 1 - 1e-9
             )
-            bits = sum(b.probability * b.bits for b in analysis.per_branch)
+            bits = sum(b.probability * b.bits_sent for b in analysis.per_branch)
             assert analysis.p_success == pytest.approx(p, abs=ATOL)
             assert analysis.expected_bits == pytest.approx(bits, abs=ATOL)
 
@@ -119,11 +118,6 @@ class TestExactAnalyze:
                 record = run_trial(target, branch.outcome)
                 _, measured, _ = measure_in_basis(make_bell(), 0, basis, branch.outcome)
                 assert branch.probability == record.probability == measured
-
-    def test_csv_shape(self):
-        rows = exact_analyze(general_target()).to_csv_rows()
-        assert rows[0] == ["outcome", "probability", "bits", "fidelity"]
-        assert len(rows) == 3
 
 
 class TestMonteCarlo:
@@ -242,12 +236,6 @@ class TestComparisonTable:
             assert row.classical_bits == pytest.approx(1.5, abs=ATOL)
             assert "deterministic" in row.target_family
             assert target.case_tag.value in row.target_family
-
-    def test_csv_rows_shape(self):
-        rows = comparison_csv_rows(emit_comparison_table(general_target()))
-        assert len(rows) == 7
-        assert rows[0][0] == "protocol_name"
-        assert {row[5] for row in rows[1:]} == {"literature", "computed"}
 
     def test_json_field_names(self):
         payload = emit_comparison_table(general_target())[0].to_json_dict()

@@ -1,9 +1,12 @@
 """Command-line surface: formats, exit codes, reproducibility."""
 
+import csv
+import io
 import json
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -223,6 +226,409 @@ GOLDEN_RUN_TEXT = {
 }
 
 
+# `analyze`, `montecarlo` and `table` output in every format at m = 3, captured
+# once and compared byte for byte; `montecarlo` keys carry the seed of a
+# 1000-trial run, 2**70 among them.
+GOLDEN_OUTPUTS = {
+    ("analyze", "general", "text"): (
+        "p_success      0.5\n"
+        "expected_bits  0.5\n"
+        "branch psi_perp  probability 0.5    bits 1  fidelity 1\n"
+        "branch psi       probability 0.5    bits 0  fidelity 0\n"
+    ),
+    ("analyze", "general", "json"): (
+        "{\n"
+        '  "p_success": 0.5000000000000001,\n'
+        '  "expected_bits": 0.5000000000000001,\n'
+        '  "per_branch": [\n'
+        "    {\n"
+        '      "outcome": "psi_perp",\n'
+        '      "probability": 0.5000000000000001,\n'
+        '      "bits": 1,\n'
+        '      "fidelity": 1.0\n'
+        "    },\n"
+        "    {\n"
+        '      "outcome": "psi",\n'
+        '      "probability": 0.5000000000000001,\n'
+        '      "bits": 0,\n'
+        '      "fidelity": 0.0\n'
+        "    }\n"
+        "  ]\n"
+        "}\n"
+    ),
+    ("analyze", "general", "csv"): (
+        "outcome,probability,bits,fidelity\n"
+        "psi_perp,0.5000000000000001,1,1.0\n"
+        "psi,0.5000000000000001,0,0.0\n"
+    ),
+    ("montecarlo", "general", "text", "5"): (
+        "trials        1000\n"
+        "successes     479\n"
+        "total_bits    479\n"
+        "success_rate  0.479\n"
+        "mean_bits     0.479\n"
+        "seed          5\n"
+    ),
+    ("montecarlo", "general", "json", "5"): (
+        "{\n"
+        '  "trials": 1000,\n'
+        '  "successes": 479,\n'
+        '  "total_bits": 479,\n'
+        '  "success_rate": 0.479,\n'
+        '  "mean_bits": 0.479,\n'
+        '  "seed": 5\n'
+        "}\n"
+    ),
+    ("montecarlo", "general", "csv", "5"): (
+        "trials,successes,total_bits,success_rate,mean_bits,seed\n"
+        "1000,479,479,0.479,0.479,5\n"
+    ),
+    ("table", "general", "text"): (
+        "protocol_name  target_family                              channel              classical_bits  identification  source\n"
+        "Shi et al.     α|00⟩+β|11⟩                                one GHZS             1               1-qubit state   literature\n"
+        "Liu et al.     α|00⟩+β|11⟩                                two BSs              2               2-qubit ES      literature\n"
+        "Dai et al.     α|0000⟩+β|1111⟩                            two GHZSs            1               2-qubit ES      literature\n"
+        "Zhan et al.    α|00⟩+β|11⟩                                two BSs              2               2-qubit ES      literature\n"
+        "Wang et al.    α|000⟩+β|111⟩                              one GHZS and one BS  0.5             2-qubit ES      literature\n"
+        "this protocol  α|0…0⟩+β|1…1⟩ (m=3, probabilistic regime)  one BS               0.5             1-qubit state   computed\n"
+    ),
+    ("table", "general", "json"): (
+        "[\n"
+        "  {\n"
+        '    "protocol_name": "Shi et al.",\n'
+        '    "target_family": "α|00⟩+β|11⟩",\n'
+        '    "channel": "one GHZS",\n'
+        '    "classical_bits": 1.0,\n'
+        '    "identification": "1-qubit state",\n'
+        '    "source": "literature"\n'
+        "  },\n"
+        "  {\n"
+        '    "protocol_name": "Liu et al.",\n'
+        '    "target_family": "α|00⟩+β|11⟩",\n'
+        '    "channel": "two BSs",\n'
+        '    "classical_bits": 2.0,\n'
+        '    "identification": "2-qubit ES",\n'
+        '    "source": "literature"\n'
+        "  },\n"
+        "  {\n"
+        '    "protocol_name": "Dai et al.",\n'
+        '    "target_family": "α|0000⟩+β|1111⟩",\n'
+        '    "channel": "two GHZSs",\n'
+        '    "classical_bits": 1.0,\n'
+        '    "identification": "2-qubit ES",\n'
+        '    "source": "literature"\n'
+        "  },\n"
+        "  {\n"
+        '    "protocol_name": "Zhan et al.",\n'
+        '    "target_family": "α|00⟩+β|11⟩",\n'
+        '    "channel": "two BSs",\n'
+        '    "classical_bits": 2.0,\n'
+        '    "identification": "2-qubit ES",\n'
+        '    "source": "literature"\n'
+        "  },\n"
+        "  {\n"
+        '    "protocol_name": "Wang et al.",\n'
+        '    "target_family": "α|000⟩+β|111⟩",\n'
+        '    "channel": "one GHZS and one BS",\n'
+        '    "classical_bits": 0.5,\n'
+        '    "identification": "2-qubit ES",\n'
+        '    "source": "literature"\n'
+        "  },\n"
+        "  {\n"
+        '    "protocol_name": "this protocol",\n'
+        '    "target_family": "α|0…0⟩+β|1…1⟩ (m=3, probabilistic regime)",\n'
+        '    "channel": "one BS",\n'
+        '    "classical_bits": 0.5000000000000001,\n'
+        '    "identification": "1-qubit state",\n'
+        '    "source": "computed"\n'
+        "  }\n"
+        "]\n"
+    ),
+    ("table", "general", "csv"): (
+        "protocol_name,target_family,channel,classical_bits,identification,source\n"
+        "Shi et al.,α|00⟩+β|11⟩,one GHZS,1.0,1-qubit state,literature\n"
+        "Liu et al.,α|00⟩+β|11⟩,two BSs,2.0,2-qubit ES,literature\n"
+        "Dai et al.,α|0000⟩+β|1111⟩,two GHZSs,1.0,2-qubit ES,literature\n"
+        "Zhan et al.,α|00⟩+β|11⟩,two BSs,2.0,2-qubit ES,literature\n"
+        "Wang et al.,α|000⟩+β|111⟩,one GHZS and one BS,0.5,2-qubit ES,literature\n"
+        'this protocol,"α|0…0⟩+β|1…1⟩ (m=3, probabilistic regime)",one BS,0.5000000000000001,1-qubit state,computed\n'
+    ),
+    ("analyze", "real", "text"): (
+        "p_success      1\n"
+        "expected_bits  1.5\n"
+        "branch psi_perp  probability 0.5    bits 1  fidelity 1\n"
+        "branch psi       probability 0.5    bits 2  fidelity 1\n"
+    ),
+    ("analyze", "real", "json"): (
+        "{\n"
+        '  "p_success": 1.0,\n'
+        '  "expected_bits": 1.5000000000000002,\n'
+        '  "per_branch": [\n'
+        "    {\n"
+        '      "outcome": "psi_perp",\n'
+        '      "probability": 0.5,\n'
+        '      "bits": 1,\n'
+        '      "fidelity": 1.0\n'
+        "    },\n"
+        "    {\n"
+        '      "outcome": "psi",\n'
+        '      "probability": 0.5000000000000001,\n'
+        '      "bits": 2,\n'
+        '      "fidelity": 1.0\n'
+        "    }\n"
+        "  ]\n"
+        "}\n"
+    ),
+    ("analyze", "real", "csv"): (
+        "outcome,probability,bits,fidelity\n"
+        "psi_perp,0.5,1,1.0\n"
+        "psi,0.5000000000000001,2,1.0\n"
+    ),
+    ("montecarlo", "real", "text", "5"): (
+        "trials        1000\n"
+        "successes     1000\n"
+        "total_bits    1521\n"
+        "success_rate  1\n"
+        "mean_bits     1.521\n"
+        "seed          5\n"
+    ),
+    ("montecarlo", "real", "json", "5"): (
+        "{\n"
+        '  "trials": 1000,\n'
+        '  "successes": 1000,\n'
+        '  "total_bits": 1521,\n'
+        '  "success_rate": 1.0,\n'
+        '  "mean_bits": 1.521,\n'
+        '  "seed": 5\n'
+        "}\n"
+    ),
+    ("montecarlo", "real", "csv", "5"): (
+        "trials,successes,total_bits,success_rate,mean_bits,seed\n"
+        "1000,1000,1521,1.0,1.521,5\n"
+    ),
+    ("table", "real", "text"): (
+        "protocol_name  target_family                                                 channel              classical_bits  identification  source\n"
+        "Shi et al.     α|00⟩+β|11⟩                                                   one GHZS             1               1-qubit state   literature\n"
+        "Liu et al.     α|00⟩+β|11⟩                                                   two BSs              2               2-qubit ES      literature\n"
+        "Dai et al.     α|0000⟩+β|1111⟩                                               two GHZSs            1               2-qubit ES      literature\n"
+        "Zhan et al.    α|00⟩+β|11⟩                                                   two BSs              2               2-qubit ES      literature\n"
+        "Wang et al.    α|000⟩+β|111⟩                                                 one GHZS and one BS  0.5             2-qubit ES      literature\n"
+        "this protocol  α|0…0⟩+β|1…1⟩ (m=3, deterministic regime, real coefficients)  one BS               1.5             1-qubit state   computed\n"
+    ),
+    ("table", "real", "json"): (
+        "[\n"
+        "  {\n"
+        '    "protocol_name": "Shi et al.",\n'
+        '    "target_family": "α|00⟩+β|11⟩",\n'
+        '    "channel": "one GHZS",\n'
+        '    "classical_bits": 1.0,\n'
+        '    "identification": "1-qubit state",\n'
+        '    "source": "literature"\n'
+        "  },\n"
+        "  {\n"
+        '    "protocol_name": "Liu et al.",\n'
+        '    "target_family": "α|00⟩+β|11⟩",\n'
+        '    "channel": "two BSs",\n'
+        '    "classical_bits": 2.0,\n'
+        '    "identification": "2-qubit ES",\n'
+        '    "source": "literature"\n'
+        "  },\n"
+        "  {\n"
+        '    "protocol_name": "Dai et al.",\n'
+        '    "target_family": "α|0000⟩+β|1111⟩",\n'
+        '    "channel": "two GHZSs",\n'
+        '    "classical_bits": 1.0,\n'
+        '    "identification": "2-qubit ES",\n'
+        '    "source": "literature"\n'
+        "  },\n"
+        "  {\n"
+        '    "protocol_name": "Zhan et al.",\n'
+        '    "target_family": "α|00⟩+β|11⟩",\n'
+        '    "channel": "two BSs",\n'
+        '    "classical_bits": 2.0,\n'
+        '    "identification": "2-qubit ES",\n'
+        '    "source": "literature"\n'
+        "  },\n"
+        "  {\n"
+        '    "protocol_name": "Wang et al.",\n'
+        '    "target_family": "α|000⟩+β|111⟩",\n'
+        '    "channel": "one GHZS and one BS",\n'
+        '    "classical_bits": 0.5,\n'
+        '    "identification": "2-qubit ES",\n'
+        '    "source": "literature"\n'
+        "  },\n"
+        "  {\n"
+        '    "protocol_name": "this protocol",\n'
+        '    "target_family": "α|0…0⟩+β|1…1⟩ (m=3, deterministic regime, real coefficients)",\n'
+        '    "channel": "one BS",\n'
+        '    "classical_bits": 1.5000000000000002,\n'
+        '    "identification": "1-qubit state",\n'
+        '    "source": "computed"\n'
+        "  }\n"
+        "]\n"
+    ),
+    ("table", "real", "csv"): (
+        "protocol_name,target_family,channel,classical_bits,identification,source\n"
+        "Shi et al.,α|00⟩+β|11⟩,one GHZS,1.0,1-qubit state,literature\n"
+        "Liu et al.,α|00⟩+β|11⟩,two BSs,2.0,2-qubit ES,literature\n"
+        "Dai et al.,α|0000⟩+β|1111⟩,two GHZSs,1.0,2-qubit ES,literature\n"
+        "Zhan et al.,α|00⟩+β|11⟩,two BSs,2.0,2-qubit ES,literature\n"
+        "Wang et al.,α|000⟩+β|111⟩,one GHZS and one BS,0.5,2-qubit ES,literature\n"
+        'this protocol,"α|0…0⟩+β|1…1⟩ (m=3, deterministic regime, real coefficients)",one BS,1.5000000000000002,1-qubit state,computed\n'
+    ),
+    ("analyze", "equatorial", "text"): (
+        "p_success      1\n"
+        "expected_bits  1.5\n"
+        "branch psi_perp  probability 0.5    bits 1  fidelity 1\n"
+        "branch psi       probability 0.5    bits 2  fidelity 1\n"
+    ),
+    ("analyze", "equatorial", "json"): (
+        "{\n"
+        '  "p_success": 1.0000000000000002,\n'
+        '  "expected_bits": 1.5000000000000004,\n'
+        '  "per_branch": [\n'
+        "    {\n"
+        '      "outcome": "psi_perp",\n'
+        '      "probability": 0.5000000000000001,\n'
+        '      "bits": 1,\n'
+        '      "fidelity": 1.0\n'
+        "    },\n"
+        "    {\n"
+        '      "outcome": "psi",\n'
+        '      "probability": 0.5000000000000001,\n'
+        '      "bits": 2,\n'
+        '      "fidelity": 1.0\n'
+        "    }\n"
+        "  ]\n"
+        "}\n"
+    ),
+    ("analyze", "equatorial", "csv"): (
+        "outcome,probability,bits,fidelity\n"
+        "psi_perp,0.5000000000000001,1,1.0\n"
+        "psi,0.5000000000000001,2,1.0\n"
+    ),
+    ("montecarlo", "equatorial", "text", "5"): (
+        "trials        1000\n"
+        "successes     1000\n"
+        "total_bits    1521\n"
+        "success_rate  1\n"
+        "mean_bits     1.521\n"
+        "seed          5\n"
+    ),
+    ("montecarlo", "equatorial", "json", "5"): (
+        "{\n"
+        '  "trials": 1000,\n'
+        '  "successes": 1000,\n'
+        '  "total_bits": 1521,\n'
+        '  "success_rate": 1.0,\n'
+        '  "mean_bits": 1.521,\n'
+        '  "seed": 5\n'
+        "}\n"
+    ),
+    ("montecarlo", "equatorial", "csv", "5"): (
+        "trials,successes,total_bits,success_rate,mean_bits,seed\n"
+        "1000,1000,1521,1.0,1.521,5\n"
+    ),
+    ("table", "equatorial", "text"): (
+        "protocol_name  target_family                                                       channel              classical_bits  identification  source\n"
+        "Shi et al.     α|00⟩+β|11⟩                                                         one GHZS             1               1-qubit state   literature\n"
+        "Liu et al.     α|00⟩+β|11⟩                                                         two BSs              2               2-qubit ES      literature\n"
+        "Dai et al.     α|0000⟩+β|1111⟩                                                     two GHZSs            1               2-qubit ES      literature\n"
+        "Zhan et al.    α|00⟩+β|11⟩                                                         two BSs              2               2-qubit ES      literature\n"
+        "Wang et al.    α|000⟩+β|111⟩                                                       one GHZS and one BS  0.5             2-qubit ES      literature\n"
+        "this protocol  α|0…0⟩+β|1…1⟩ (m=3, deterministic regime, equatorial coefficients)  one BS               1.5             1-qubit state   computed\n"
+    ),
+    ("table", "equatorial", "json"): (
+        "[\n"
+        "  {\n"
+        '    "protocol_name": "Shi et al.",\n'
+        '    "target_family": "α|00⟩+β|11⟩",\n'
+        '    "channel": "one GHZS",\n'
+        '    "classical_bits": 1.0,\n'
+        '    "identification": "1-qubit state",\n'
+        '    "source": "literature"\n'
+        "  },\n"
+        "  {\n"
+        '    "protocol_name": "Liu et al.",\n'
+        '    "target_family": "α|00⟩+β|11⟩",\n'
+        '    "channel": "two BSs",\n'
+        '    "classical_bits": 2.0,\n'
+        '    "identification": "2-qubit ES",\n'
+        '    "source": "literature"\n'
+        "  },\n"
+        "  {\n"
+        '    "protocol_name": "Dai et al.",\n'
+        '    "target_family": "α|0000⟩+β|1111⟩",\n'
+        '    "channel": "two GHZSs",\n'
+        '    "classical_bits": 1.0,\n'
+        '    "identification": "2-qubit ES",\n'
+        '    "source": "literature"\n'
+        "  },\n"
+        "  {\n"
+        '    "protocol_name": "Zhan et al.",\n'
+        '    "target_family": "α|00⟩+β|11⟩",\n'
+        '    "channel": "two BSs",\n'
+        '    "classical_bits": 2.0,\n'
+        '    "identification": "2-qubit ES",\n'
+        '    "source": "literature"\n'
+        "  },\n"
+        "  {\n"
+        '    "protocol_name": "Wang et al.",\n'
+        '    "target_family": "α|000⟩+β|111⟩",\n'
+        '    "channel": "one GHZS and one BS",\n'
+        '    "classical_bits": 0.5,\n'
+        '    "identification": "2-qubit ES",\n'
+        '    "source": "literature"\n'
+        "  },\n"
+        "  {\n"
+        '    "protocol_name": "this protocol",\n'
+        '    "target_family": "α|0…0⟩+β|1…1⟩ (m=3, deterministic regime, equatorial coefficients)",\n'
+        '    "channel": "one BS",\n'
+        '    "classical_bits": 1.5000000000000004,\n'
+        '    "identification": "1-qubit state",\n'
+        '    "source": "computed"\n'
+        "  }\n"
+        "]\n"
+    ),
+    ("table", "equatorial", "csv"): (
+        "protocol_name,target_family,channel,classical_bits,identification,source\n"
+        "Shi et al.,α|00⟩+β|11⟩,one GHZS,1.0,1-qubit state,literature\n"
+        "Liu et al.,α|00⟩+β|11⟩,two BSs,2.0,2-qubit ES,literature\n"
+        "Dai et al.,α|0000⟩+β|1111⟩,two GHZSs,1.0,2-qubit ES,literature\n"
+        "Zhan et al.,α|00⟩+β|11⟩,two BSs,2.0,2-qubit ES,literature\n"
+        "Wang et al.,α|000⟩+β|111⟩,one GHZS and one BS,0.5,2-qubit ES,literature\n"
+        'this protocol,"α|0…0⟩+β|1…1⟩ (m=3, deterministic regime, equatorial coefficients)",one BS,1.5000000000000004,1-qubit state,computed\n'
+    ),
+    ("montecarlo", "general", "text", "1180591620717411303424"): (
+        "trials        1000\n"
+        "successes     515\n"
+        "total_bits    515\n"
+        "success_rate  0.515\n"
+        "mean_bits     0.515\n"
+        "seed          1180591620717411303424\n"
+    ),
+    ("montecarlo", "general", "json", "1180591620717411303424"): (
+        "{\n"
+        '  "trials": 1000,\n'
+        '  "successes": 515,\n'
+        '  "total_bits": 515,\n'
+        '  "success_rate": 0.515,\n'
+        '  "mean_bits": 0.515,\n'
+        '  "seed": 1180591620717411303424\n'
+        "}\n"
+    ),
+    ("montecarlo", "general", "csv", "1180591620717411303424"): (
+        "trials,successes,total_bits,success_rate,mean_bits,seed\n"
+        "1000,515,515,0.515,0.515,1180591620717411303424\n"
+    ),
+}
+
+
+def golden_argv(command, name, fmt, seed=None):
+    extra = [] if seed is None else ["--trials", "1000", "--seed", seed]
+    return [command, *GOLDEN_TARGETS[name], "--m=3", *extra, "--format", fmt]
+
+
 class TestRun:
     def test_forced_perp_json(self, capsys):
         code, out, err = invoke(
@@ -350,6 +756,7 @@ class TestTable:
         assert len(lines) == 7
         assert lines[0].startswith("protocol_name,")
         assert lines[-1].split(",")[0] == "this protocol"
+        assert {line.split(",")[-1] for line in lines[1:]} == {"literature", "computed"}
 
     def test_text_alignment(self, capsys):
         code, out, _ = invoke(capsys, ["table", *GENERAL])
@@ -364,6 +771,58 @@ class TestTable:
         rows = json.loads(out)
         assert code == 0 and len(rows) == 6
         assert sum(row["source"] == "computed" for row in rows) == 1
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("key", sorted(GOLDEN_OUTPUTS), ids="-".join)
+    def test_matches_golden(self, capsys, key):
+        code, out, err = invoke(capsys, golden_argv(*key))
+        assert (code, err) == (0, "")
+        assert out == GOLDEN_OUTPUTS[key]
+
+
+class TestCsvSchema:
+    """Each CSV output is its JSON records: the keys head it, one row each."""
+
+    RECORDS = {
+        "analyze": lambda payload: payload["per_branch"],
+        "montecarlo": lambda payload: [payload],
+        "table": lambda payload: payload,
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_TARGETS))
+    @pytest.mark.parametrize(
+        "command, seed, rows", [("analyze", None, 2), ("montecarlo", "5", 1), ("table", None, 6)]
+    )
+    def test_header_is_the_json_keys(self, capsys, command, seed, rows, name):
+        _, out, _ = invoke(capsys, golden_argv(command, name, "json", seed))
+        records = self.RECORDS[command](json.loads(out))
+        code, out, _ = invoke(capsys, golden_argv(command, name, "csv", seed))
+        header, *cells = csv.reader(io.StringIO(out))
+        assert code == 0 and len(records) == rows
+        assert header == list(records[0])
+        assert cells == [[str(value) for value in record.values()] for record in records]
+
+
+class TestFormattersNeverDensify:
+    """At m = 20 one dense state is 16 MiB; text and CSV output need none."""
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    @pytest.mark.parametrize(
+        "command",
+        [["run", "--force-outcome", "psiperp"], ["analyze"], ["table"],
+         ["montecarlo", "--trials", "1000"]],
+        ids=lambda command: command[0],
+    )
+    def test_peak_under_4_mib_at_m20(self, capsys, command, fmt):
+        tracemalloc.start()
+        try:
+            code = main([*command, *GOLDEN_TARGETS["general"], "--m=20", "--format", fmt])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, capsys.readouterr().err) == (0, "")
+        assert peak < 4 * 2**20
 
 
 class TestReproducibility:

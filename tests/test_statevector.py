@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellrsp import (
-    HADAMARD,
     MAX_QUBITS,
     BadQubitCount,
     DimensionMismatch,
@@ -27,7 +26,6 @@ from bellrsp import (
     ZeroProbabilityBranch,
     append_ancillas,
     apply_1q,
-    apply_cnot,
     basis_from_target,
     check_decomposition,
     cnot_fanout,
@@ -38,6 +36,19 @@ from bellrsp import (
 from oracles import dense_cnot, kron_chain, random_pair, random_state_vector
 
 ATOL = 1e-12
+
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) * SQRT_HALF
+
+
+def apply_cnot(state, control, target):
+    """One CNOT: the single-target case of ``cnot_fanout``."""
+    return cnot_fanout(state, control, (target,))
+
+
+def state_from_json_dict(data):
+    """Inverse of ``StateVector.to_json_dict``."""
+    amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
+    return StateVector(int(data["n_qubits"]), amps)
 
 
 def random_state(rng, n):
@@ -86,7 +97,7 @@ class TestStateVector:
     def test_json_round_trip(self):
         rng = np.random.default_rng(11)
         state = random_state(rng, 3)
-        again = StateVector.from_json_dict(state.to_json_dict())
+        again = state_from_json_dict(state.to_json_dict())
         assert again.n_qubits == 3
         np.testing.assert_allclose(again.amplitudes, state.amplitudes, atol=ATOL)
 
@@ -500,6 +511,16 @@ class TestFidelityModPhase:
             a, b = random_state(rng, 3), random_state(rng, 3)
             f = fidelity_mod_phase(a, b)
             assert -ATOL <= f <= 1.0 + ATOL
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_never_leaves_the_unit_interval_even_against_itself(self, n, seed):
+        # |<a|a>|**2 of a unit-norm state rounds above 1 for about half of
+        # random states; the cap keeps the score a probability
+        rng = np.random.default_rng(seed)
+        a, b = random_state(rng, n), random_state(rng, n)
+        assert 0.0 <= fidelity_mod_phase(a, b) <= 1.0
+        assert 0.0 <= fidelity_mod_phase(a, a) <= 1.0
 
 
 class TestCheckDecomposition:
