@@ -14,10 +14,11 @@ data.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .errors import InvalidFlag
 from .protocol import TargetCase, TargetSpec, TrialRecord, run_trial
 from .statevector import Outcome
 
@@ -63,14 +64,7 @@ class MonteCarloStats:
     seed: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "successes": self.successes,
-            "total_bits": self.total_bits,
-            "success_rate": self.success_rate,
-            "mean_bits": self.mean_bits,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 class RowSource(enum.Enum):
@@ -92,14 +86,7 @@ class ComparisonRow:
     source: RowSource
 
     def to_json_dict(self) -> dict:
-        return {
-            "protocol_name": self.protocol_name,
-            "target_family": self.target_family,
-            "channel": self.channel,
-            "classical_bits": self.classical_bits,
-            "identification": self.identification,
-            "source": self.source.value,
-        }
+        return {**asdict(self), "source": self.source.value}
 
 
 # Published cost figures of earlier remote-preparation protocols, carried as
@@ -146,6 +133,8 @@ def exact_analyze(target: TargetSpec) -> ExactAnalysis:
 def trial_rng(seed: int, index: int) -> np.random.Generator:
     """The seed's stream advanced by ``index`` draws: its first ``random()``
     is the draw that decides trial ``index`` in ``monte_carlo``."""
+    if seed < 0:
+        raise InvalidFlag(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.PCG64(seed).advance(index))
 
 
@@ -159,15 +148,16 @@ def monte_carlo(
     exactly as ``run_trial(target, trial_rng(seed, i))`` does. With k such
     trials the stats are k psi rows plus (trials - k) psi_perp rows of the
     branch table. Uniforms are drawn ``DRAW_BLOCK`` at a time, so memory
-    stays bounded. ``workers`` is validated but changes nothing: the result
-    is one stream's and identical for every worker count.
+    stays bounded. Trials or workers below 1, or a negative seed, raise
+    ``InvalidFlag``; ``workers`` changes nothing else, since the result is
+    one stream's and identical for every worker count.
     """
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+        raise InvalidFlag(f"trials must be >= 1, got {trials}")
     if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    perp, psi = (run_trial(target, forced) for forced in _BRANCH_ORDER)
+        raise InvalidFlag(f"workers must be >= 1, got {workers}")
     rng = trial_rng(seed, 0)
+    perp, psi = exact_analyze(target).per_branch
     hits = 0
     for start in range(0, trials, DRAW_BLOCK):
         draws = rng.random(min(DRAW_BLOCK, trials - start))

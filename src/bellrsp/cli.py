@@ -146,22 +146,13 @@ def _dispatch(args: argparse.Namespace) -> str:
         normalize=args.normalize,
     )
     if args.subcommand == "run":
-        if args.seed < 0:
-            raise InvalidFlag(f"seed must be >= 0, got {args.seed}")
-        if args.force_outcome is None:
-            select = trial_rng(args.seed, 0)
-        else:
+        select = trial_rng(args.seed, 0)  # checks the seed even when forced
+        if args.force_outcome is not None:
             select = _FORCE_CHOICES[args.force_outcome]
         return _format_trial(run_trial(target, select), target, args.format)
     if args.subcommand == "analyze":
         return _format_analysis(exact_analyze(target), args.format)
     if args.subcommand == "montecarlo":
-        if args.trials < 1:
-            raise InvalidFlag(f"trials must be >= 1, got {args.trials}")
-        if args.workers < 1:
-            raise InvalidFlag(f"workers must be >= 1, got {args.workers}")
-        if args.seed < 0:
-            raise InvalidFlag(f"seed must be >= 0, got {args.seed}")
         stats = monte_carlo(target, args.trials, args.seed, workers=args.workers)
         return _format_stats(stats, args.format)
     if args.subcommand == "table":

@@ -42,4 +42,4 @@ class MalformedMessage(BellRspError, ValueError):
 
 
 class InvalidFlag(BellRspError, ValueError):
-    """Command-line flag value fails validation."""
+    """Command-line flag or argument value fails validation."""

@@ -47,9 +47,6 @@ SUCCESS_TOL = 1e-9  # success means fidelity >= 1 - SUCCESS_TOL
 
 ABORT_WIRE = "ABORT"
 
-# every payload the codec admits; anything else is malformed by definition
-_VALID_PAYLOADS = frozenset({(0,), (1, 0), (1, 1)})
-
 
 class TargetCase(enum.Enum):
     """Which correction regime a canonical target pair falls into."""
@@ -57,6 +54,22 @@ class TargetCase(enum.Enum):
     GENERAL = "general"
     REAL = "real"              # both coefficients real: psi branch needs no gate
     EQUATORIAL = "equatorial"  # both moduli 1/sqrt(2): psi branch fixed by a flip
+
+
+# The protocol, once: (branch, case) -> (payload, receiver's gate). psi_perp
+# leaves the receiver (beta, -alpha), which ROT90 turns into (alpha, beta) for
+# any target. psi leaves (alpha, conj(beta)): that is the target when beta is
+# real, and PAULI_X makes it (conj(beta), alpha) = conj(beta)/alpha * (alpha,
+# beta), a global phase, when both moduli are 1/sqrt(2). A pair missing from
+# the table aborts; the payloads are exactly the messages the codec admits.
+_PROTOCOL = {
+    (Outcome.PSI_PERP, TargetCase.GENERAL): ((0,), ROT90),
+    (Outcome.PSI_PERP, TargetCase.REAL): ((0,), ROT90),
+    (Outcome.PSI_PERP, TargetCase.EQUATORIAL): ((0,), ROT90),
+    (Outcome.PSI, TargetCase.REAL): ((1, 0), None),
+    (Outcome.PSI, TargetCase.EQUATORIAL): ((1, 1), PAULI_X),
+}
+_GATES = dict(_PROTOCOL.values())  # payload -> gate; None means no gate
 
 
 @dataclass(frozen=True)
@@ -164,13 +177,9 @@ class ClassicalMessage:
         if self.bits is None:
             return
         bits = tuple(int(bit) for bit in self.bits)
-        if bits not in _VALID_PAYLOADS:
+        if bits not in _GATES:
             raise MalformedMessage(f"payload {bits!r} is outside the codec")
         object.__setattr__(self, "bits", bits)
-
-    @property
-    def is_abort(self) -> bool:
-        return self.bits is None
 
     @property
     def bit_count(self) -> int:
@@ -192,29 +201,24 @@ class ClassicalMessage:
 
 
 def alice_encode(outcome: Outcome, case_tag: TargetCase) -> ClassicalMessage:
-    """Message for a measurement outcome: psi_perp is always correctable ("0");
-    psi is correctable only in the special cases ("10" real, "11" equatorial)
-    and otherwise aborts the run."""
-    if outcome is Outcome.PSI_PERP:
-        return ClassicalMessage((0,))
-    if case_tag is TargetCase.REAL:
-        return ClassicalMessage((1, 0))
-    if case_tag is TargetCase.EQUATORIAL:
-        return ClassicalMessage((1, 1))
-    return ClassicalMessage(None)
+    """The protocol table's message for (outcome, case): psi_perp is always
+    correctable ("0"); psi only in the special cases ("10" real, "11"
+    equatorial). A pair missing from the table, psi for a general target,
+    aborts the run."""
+    entry = _PROTOCOL.get((outcome, case_tag))
+    return ClassicalMessage(None if entry is None else entry[0])
 
 
 def bob_act(
     message: ClassicalMessage, collapsed: StateVector, m: int
 ) -> GhzState | None:
-    """Receiver's response: corrective gate selected by the message, then
-    CNOT fan-out of the corrected qubit over m-1 fresh ancillas.
+    """Receiver's response: the protocol table's gate for the message's
+    payload, then CNOT fan-out of the corrected qubit over m-1 fresh ancillas.
 
-    Payload (0,) applies the rotation taking (beta, -alpha) to (alpha, beta);
-    (1, 0) applies no gate (a real pair needs none); (1, 1) applies a bit flip,
-    which fixes an equatorial pair up to global phase. Abort returns None.
-    The fanned-out state is returned as a ``GhzState`` seeded by the
-    corrected qubit: two amplitudes, densified only when read.
+    "0" applies ROT90, "10" no gate and "11" PAULI_X; the table's comment
+    gives the reasons. Abort returns None. The fanned-out state is returned
+    as a ``GhzState`` seeded by the corrected qubit: two amplitudes,
+    densified only when read.
     """
     _require_qubit_count(m)
     if message.bits is None:
@@ -223,14 +227,8 @@ def bob_act(
         raise ValueError(
             f"expected a 1-qubit collapsed state, got {collapsed.n_qubits} qubits"
         )
-    if message.bits == (0,):
-        corrected = apply_1q(collapsed, 0, ROT90)
-    elif message.bits == (1, 0):
-        corrected = collapsed
-    elif message.bits == (1, 1):
-        corrected = apply_1q(collapsed, 0, PAULI_X)
-    else:  # unreachable for messages built by this codec
-        raise MalformedMessage(f"payload {message.bits!r} is outside the codec")
+    gate = _GATES[message.bits]
+    corrected = collapsed if gate is None else apply_1q(collapsed, 0, gate)
     return GhzState(m, corrected)
 
 

@@ -81,9 +81,6 @@ class StateVector:
         amps = amps / norm if norm != 1.0 else amps.copy()
         object.__setattr__(self, "amplitudes", _freeze(amps))
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     def to_json_dict(self) -> dict:
         """JSON form: n_qubits plus amplitudes as [re, im] pairs."""
         return {
@@ -139,9 +136,6 @@ class MeasurementBasis:
             raise ValueError("basis vectors are not orthogonal")
         object.__setattr__(self, "psi", _freeze(psi))
         object.__setattr__(self, "psi_perp", _freeze(perp))
-
-    def vector(self, outcome: Outcome) -> np.ndarray:
-        return self.psi if outcome is Outcome.PSI else self.psi_perp
 
 
 def make_bell() -> StateVector:

@@ -21,7 +21,8 @@ from bellrsp import (
     run_trial,
     trial_rng,
 )
-from bellrsp import analysis
+from bellrsp import InvalidFlag, analysis
+from bellrsp.cli import main
 from oracles import random_target
 
 ATOL = 1e-12
@@ -136,6 +137,26 @@ class TestMonteCarlo:
             monte_carlo(general_target(), 0, seed=1)
         with pytest.raises(ValueError):
             monte_carlo(general_target(), 10, seed=1, workers=0)
+
+    @pytest.mark.parametrize(
+        "call, argv",
+        [
+            (lambda t: monte_carlo(t, 0, 0), ["montecarlo", "--trials", "0"]),
+            (lambda t: monte_carlo(t, 5, 0, workers=0), ["montecarlo", "--workers", "0"]),
+            (lambda t: monte_carlo(t, 5, -1), ["montecarlo", "--seed", "-1"]),
+            (lambda t: trial_rng(-1, 0), ["run", "--seed", "-1"]),
+        ],
+        ids=["trials", "workers", "monte_carlo-seed", "trial_rng-seed"],
+    )
+    def test_bad_arguments_raise_invalid_flag_with_the_cli_message(
+        self, capsys, call, argv
+    ):
+        with pytest.raises(InvalidFlag) as excinfo:
+            call(general_target())
+        assert isinstance(excinfo.value, ValueError)
+        target_flags = ["--alpha", "0.6", "--beta-re", "0", "--beta-im", "0.8", "--m", "2"]
+        assert main([argv[0], *target_flags, *argv[1:]]) == 2
+        assert capsys.readouterr().err == f"error: {excinfo.value}\n"
 
     def test_same_seed_reproduces_exactly(self):
         target = equatorial_target()

@@ -179,14 +179,14 @@ class TestClassicalMessage:
         message = ClassicalMessage(bits)
         assert message.to_wire() == wire
         assert message.bit_count == len(bits)
-        assert not message.is_abort
+        assert message.bits is not None
         assert ClassicalMessage.from_wire(wire) == message
 
     def test_abort_wire_round_trip(self):
         message = ClassicalMessage(None)
         assert message.to_wire() == "ABORT"
         assert message.bit_count == 0
-        assert message.is_abort
+        assert message.bits is None
         assert ClassicalMessage.from_wire("ABORT") == message
 
     @pytest.mark.parametrize("bits", [(), (1,), (0, 0), (0, 1), (1, 1, 1)])
@@ -222,7 +222,7 @@ class TestAliceEncode:
             for case in TargetCase:
                 message = alice_encode(outcome, case)
                 result = bob_act(message, collapsed, 2)
-                assert (result is None) == message.is_abort
+                assert (result is None) == (message.bits is None)
 
 
 class TestBobAct:
@@ -343,7 +343,7 @@ class TestRunTrial:
             assert record.bits_sent in (0, 1, 2)
             assert (record.bits_sent == 0) == (not record.success)
             assert record.success == (record.fidelity >= 1.0 - 1e-9)
-            assert (record.bob_state is None) == record.message.is_abort
+            assert (record.bob_state is None) == (record.message.bits is None)
             assert record.bits_sent == record.message.bit_count
 
     def test_general_psi_failure_is_systematic(self):
@@ -410,7 +410,7 @@ class TestRunTrialProperties:
         target = canonicalize_target(np.cos(t), np.sin(t) * np.exp(1j * theta), m)
         assume(target.case_tag is TargetCase.GENERAL)
         record = run_trial(target, Outcome.PSI)
-        assert record.message.is_abort
+        assert record.message.bits is None
         assert record.bits_sent == 0
         assert not record.success
 
