@@ -1,14 +1,14 @@
 """Exact and statistical cost accounting for the preparation protocol.
 
-A trial is a pure function of its measurement branch, so the two forced
-``run_trial`` records make the protocol's branch table: probability, bits and
-success for psi_perp and for psi. ``exact_analyze`` is the table's weighted
-sum, with no sampling error. ``monte_carlo`` estimates the same figures from
-one seeded stream of uniforms, trial i reading the stream's i-th draw, so the
-result is a pure function of (target, trials, seed) and never depends on the
-worker count. ``emit_comparison_table`` places the computed cost next to
-published figures for five earlier preparation protocols, carried as static
-data.
+A trial is a pure function of its measurement branch, so two records make
+the protocol's branch table: probability, bits and success for psi_perp and
+for psi. ``branch_table`` builds both from one measurement of the Bell pair,
+and ``exact_analyze`` is their weighted sum, with no sampling error.
+``monte_carlo`` estimates the same figures from one seeded stream of uniforms,
+trial i reading the stream's i-th draw, so the result is a pure function of
+(target, trials, seed) and never depends on the worker count.
+``emit_comparison_table`` places the computed cost next to published figures
+for five earlier preparation protocols, carried as static data.
 """
 
 from __future__ import annotations
@@ -19,10 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InvalidFlag
-from .protocol import TargetCase, TargetSpec, TrialRecord, run_trial
-from .statevector import Outcome
-
-_BRANCH_ORDER = (Outcome.PSI_PERP, Outcome.PSI)
+from .protocol import TargetCase, TargetSpec, TrialRecord, branch_table
 
 DRAW_BLOCK = 2**20  # uniforms held at once by monte_carlo: 8 MiB for any trial count
 
@@ -116,14 +113,15 @@ LITERATURE_ROWS = (
 
 
 def exact_analyze(target: TargetSpec) -> ExactAnalysis:
-    """Weighted sum over the branch table: each forced branch's record and
-    the Born probability it carries.
+    """Weighted sum over the branch table: both records, built by
+    ``branch_table`` from one measurement of the Bell pair, and the Born
+    probability each carries.
 
     For the Bell channel both probabilities are exactly 1/2, so the general
     case gives p_success = 0.5 with 0.5 expected bits, and the special cases
     give 1.0 with 1.5 expected bits.
     """
-    records = tuple(run_trial(target, forced) for forced in _BRANCH_ORDER)
+    records = branch_table(target)
     # the 0.0 start keeps a float when no branch succeeds
     p_success = sum((r.probability for r in records if r.success), 0.0)
     expected_bits = sum((r.probability * r.bits_sent for r in records), 0.0)

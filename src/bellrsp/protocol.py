@@ -36,6 +36,8 @@ from .statevector import (
     GhzState,
     Outcome,
     StateVector,
+    _collapse,
+    _project,
     apply_1q,
     basis_from_target,
     make_bell,
@@ -267,31 +269,41 @@ def run_trial(
 ) -> TrialRecord:
     """One full protocol run against a fresh Bell pair.
 
-    ``select`` either forces the sender's measurement branch (for exact
-    enumeration) or supplies the random draw. Fidelity is |<bob|goal>|**2
-    with the goal from ``build_target_state``, blind to global phase and
-    capped at 1 so rounding never reports more. Both states are their seeds
-    fanned out alike, so it is the seeds' overlap and no 2**m array is
-    built. An aborted run scores 0. The record carries the Born probability
-    of the branch taken, so the two forced runs make the protocol's whole
-    branch table.
+    ``select`` either forces the sender's measurement branch or supplies the
+    random draw. Fidelity is |<bob|goal>|**2 with the goal from
+    ``build_target_state``, blind to global phase and capped at 1 so
+    rounding never reports more. Both states are their seeds fanned out
+    alike, so it is the seeds' overlap and no 2**m array is built. An
+    aborted run scores 0. The record carries the Born probability of the
+    branch taken; ``branch_table`` gives both branches' records at once.
     """
     basis = basis_from_target(target.alpha, target.beta)
     outcome, probability, collapsed = measure_in_basis(make_bell(), 0, basis, select)
+    return _record(target, outcome, probability, collapsed)
+
+
+def branch_table(target: TargetSpec) -> tuple[TrialRecord, TrialRecord]:
+    """The psi_perp and psi records that forced ``run_trial`` calls give, from
+    one basis, one projection of the Bell pair and one goal state."""
+    bell, goal = make_bell(), build_target_state(target)
+    basis = basis_from_target(target.alpha, target.beta)
+    return tuple(
+        _record(target, outcome, prob, _collapse(bell, outcome, prob, branch), goal)
+        for outcome, prob, branch in _project(bell, 0, basis)
+    )
+
+
+def _record(target, outcome, probability, collapsed, goal=None) -> TrialRecord:
+    """One branch's message, receiver state and score; builds a goal not given."""
     message = alice_encode(outcome, target.case_tag)
     bob_state = bob_act(message, collapsed, target.m)
-    if bob_state is None:
-        fidelity = 0.0
-    else:
-        goal = build_target_state(target)
+    fidelity = 0.0  # an aborted run
+    if bob_state is not None:
+        goal = goal or build_target_state(target)
         overlap = np.vdot(bob_state.seed.amplitudes, goal.seed.amplitudes)
         fidelity = min(1.0, float(abs(overlap) ** 2))
     return TrialRecord(
-        outcome=outcome,
-        message=message,
-        bob_state=bob_state,
-        fidelity=fidelity,
-        success=fidelity >= 1.0 - SUCCESS_TOL,
-        bits_sent=message.bit_count,
+        outcome=outcome, message=message, bob_state=bob_state, fidelity=fidelity,
+        success=fidelity >= 1.0 - SUCCESS_TOL, bits_sent=message.bit_count,
         probability=probability,
     )

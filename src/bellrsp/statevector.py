@@ -34,9 +34,15 @@ MAX_QUBITS = 24        # one dense 24-qubit state of complex128 is 256 MiB
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
+
+def _freeze(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 # 2x2 gates used by the protocol's corrections.
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-ROT90 = np.array([[0, -1], [1, 0]], dtype=complex)  # maps (b, -a) to (a, b)
+PAULI_X = _freeze(np.array([[0, 1], [1, 0]], dtype=complex))
+ROT90 = _freeze(np.array([[0, -1], [1, 0]], dtype=complex))  # maps (b, -a) to (a, b)
 
 
 class Outcome(enum.Enum):
@@ -44,11 +50,6 @@ class Outcome(enum.Enum):
 
     PSI = "psi"
     PSI_PERP = "psi_perp"
-
-
-def _freeze(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,34 +174,43 @@ def measure_in_basis(
     """Projective measurement of one qubit in an arbitrary orthonormal basis.
 
     ``select`` is either a forced :class:`Outcome` (exact branch enumeration)
-    or a numpy ``Generator`` supplying the Born-rule draw. The measured qubit
-    is removed from the register and the remainder renormalized.
+    or a numpy ``Generator`` supplying the Born-rule draw. One projection
+    gives both branches; only the selected one loses the measured qubit and
+    is renormalized.
 
     Returns ``(outcome, probability of that outcome, collapsed state)``.
     """
     if not 0 <= qubit < state.n_qubits:
         raise IndexError(f"qubit {qubit} out of range for {state.n_qubits} qubits")
-    tensor = np.moveaxis(state.amplitudes.reshape([2] * state.n_qubits), qubit, 0)
-    branch_psi = np.tensordot(basis.psi.conj(), tensor, axes=([0], [0]))
-    branch_perp = np.tensordot(basis.psi_perp.conj(), tensor, axes=([0], [0]))
-    p_psi = float(np.vdot(branch_psi, branch_psi).real)
-    p_perp = float(np.vdot(branch_perp, branch_perp).real)
+    perp, psi = _project(state, qubit, basis)
     if isinstance(select, Outcome):
         outcome = select
     elif isinstance(select, np.random.Generator):
-        outcome = Outcome.PSI if select.random() < p_psi else Outcome.PSI_PERP
+        outcome = Outcome.PSI if select.random() < psi[1] else Outcome.PSI_PERP
     else:
         raise TypeError("select must be an Outcome or a numpy random Generator")
-    prob = p_psi if outcome is Outcome.PSI else p_perp
-    if prob < MIN_BRANCH_PROB:
-        raise ZeroProbabilityBranch(
-            f"branch {outcome.value} has probability {prob!r}"
-        )
-    branch = branch_psi if outcome is Outcome.PSI else branch_perp
-    collapsed = StateVector(
-        state.n_qubits - 1, branch.reshape(-1) / np.sqrt(prob)
+    _, prob, branch = psi if outcome is Outcome.PSI else perp
+    return outcome, prob, _collapse(state, outcome, prob, branch)
+
+
+def _project(state: StateVector, qubit: int, basis: MeasurementBasis) -> tuple:
+    """``(outcome, Born probability, unnormalised branch)`` for psi_perp, then
+    psi: the amplitudes as rows indexed by the measured qubit, times the basis
+    vector's conjugate in the one ``np.dot`` that ``np.tensordot`` makes, on the
+    same operands in the same layout, so the results are bit-identical to it."""
+    rows = state.amplitudes.reshape(2**qubit, 2, -1).swapaxes(0, 1).reshape(2, -1)
+    perp, psi = (np.dot(v.conj().reshape(1, 2), rows) for v in (basis.psi_perp, basis.psi))
+    return (
+        (Outcome.PSI_PERP, float(np.vdot(perp, perp).real), perp),
+        (Outcome.PSI, float(np.vdot(psi, psi).real), psi),
     )
-    return outcome, prob, collapsed
+
+
+def _collapse(state: StateVector, outcome: Outcome, prob: float, branch) -> StateVector:
+    """``state`` after ``outcome``: its renormalised branch, one qubit fewer."""
+    if prob < MIN_BRANCH_PROB:
+        raise ZeroProbabilityBranch(f"branch {outcome.value} has probability {prob!r}")
+    return StateVector(state.n_qubits - 1, branch / np.sqrt(prob))
 
 
 def apply_1q(state: StateVector, qubit: int, u: np.ndarray) -> StateVector:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from bellrsp import (
+    MeasurementBasis,
     PAULI_X,
     ROT90,
     SQRT_HALF,
@@ -117,3 +118,16 @@ def dense_receiver_state(target: TargetSpec, branch: Outcome) -> StateVector | N
         return None
     extended = append_ancillas(corrected, target.m - 1)
     return cnot_fanout(extended, 0, range(1, target.m))
+
+
+def tensordot_measurement(
+    state: StateVector, qubit: int, basis: MeasurementBasis, branch: Outcome
+) -> tuple[float, StateVector]:
+    """A forced branch's Born probability and collapsed state, by contracting
+    the measured axis, moved to the front, with the basis vector's conjugate
+    in ``np.tensordot``. The branch must have nonzero probability."""
+    tensor = np.moveaxis(state.amplitudes.reshape([2] * state.n_qubits), qubit, 0)
+    vector = basis.psi if branch is Outcome.PSI else basis.psi_perp
+    amplitudes = np.tensordot(vector.conj(), tensor, axes=([0], [0]))
+    prob = float(np.vdot(amplitudes, amplitudes).real)
+    return prob, StateVector(state.n_qubits - 1, amplitudes.reshape(-1) / np.sqrt(prob))

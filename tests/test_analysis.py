@@ -1,11 +1,14 @@
 """Analysis harness: exact oracle, Monte Carlo estimator, comparison table."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellrsp import (
+    GhzState,
     LITERATURE_ROWS,
     Outcome,
     RowSource,
@@ -21,7 +24,7 @@ from bellrsp import (
     run_trial,
     trial_rng,
 )
-from bellrsp import InvalidFlag, analysis
+from bellrsp import InvalidFlag, analysis, protocol
 from bellrsp.cli import main
 from oracles import random_target
 
@@ -119,6 +122,55 @@ class TestExactAnalyze:
                 record = run_trial(target, branch.outcome)
                 _, measured, _ = measure_in_basis(make_bell(), 0, basis, branch.outcome)
                 assert branch.probability == record.probability == measured
+
+
+def record_fields(record):
+    """Every field of a trial record in a form that compares bit for bit:
+    floats by ``repr`` and the receiver's seed by its bytes."""
+    fields = {}
+    for field in dataclasses.fields(record):
+        value = getattr(record, field.name)
+        if isinstance(value, float):
+            value = repr(value)
+        elif isinstance(value, GhzState):
+            value = (value.n_qubits, value.seed.n_qubits, value.seed.amplitudes.tobytes())
+        fields[field.name] = value
+    return fields
+
+
+class TestBranchTable:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(("general", "real", "equatorial")),
+        m=st.integers(2, 24),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_records_are_the_forced_run_trial_records(self, kind, m, seed):
+        target = random_target(np.random.default_rng(seed), kind, m)
+        table = exact_analyze(target).per_branch
+        forced = [run_trial(target, branch) for branch in (Outcome.PSI_PERP, Outcome.PSI)]
+        assert [record_fields(r) for r in table] == [record_fields(r) for r in forced]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda target: exact_analyze(target),
+            lambda target: monte_carlo(target, 100, seed=3),
+            lambda target: run_trial(target, Outcome.PSI),
+        ],
+        ids=["exact_analyze", "monte_carlo", "run_trial"],
+    )
+    def test_one_measurement_basis_per_call(self, monkeypatch, call):
+        calls = []
+        original = protocol.basis_from_target
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(protocol, "basis_from_target", counting)
+        call(real_target())
+        assert len(calls) == 1
 
 
 class TestMonteCarlo:

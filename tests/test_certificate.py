@@ -3,15 +3,28 @@
 For symbolic alpha >= 0 and beta = x + iy on alpha**2 + x**2 + y**2 = 1 this
 proves the identities the float engine relies on: the Bell pair's two-branch
 rewrite, Born probabilities of exactly 1/2, and each gate of the protocol
-table taking its branch's collapsed qubit to the target up to a phase. The
-float engine is then pinned to the figures the certificate derives.
+table taking its branch's collapsed qubit to the target up to a phase, the
+fidelity a pair at a class boundary still reaches, and the fan-out taking the
+seed to alpha|0...0> + beta|1...1>. The float engine is then pinned to the
+figures the certificate derives.
 """
 
 import numpy as np
 import pytest
 import sympy as sp
 
-from bellrsp import PAULI_X, ROT90, Outcome, TargetCase, exact_analyze
+from bellrsp import (
+    CASE_TOL,
+    PAULI_X,
+    ROT90,
+    SUCCESS_TOL,
+    Outcome,
+    StateVector,
+    TargetCase,
+    append_ancillas,
+    cnot_fanout,
+    exact_analyze,
+)
 from bellrsp.protocol import _PROTOCOL
 from oracles import random_target
 
@@ -122,6 +135,70 @@ class TestCorrections:
             corrected = exact(gate) * corrected
         overlap = (pair(a, b).H * corrected)[0]
         assert vanishes(overlap * sp.conjugate(overlap) - 1, constraint)
+
+
+def table_fidelity(key, a, b):
+    """|<target|corrected>|**2 when the table entry ``key`` is applied to
+    the sender's measurement for the target (a, b)."""
+    outcome, _ = key
+    _, gate = _PROTOCOL[key]
+    corrected = collapsed(basis(a, b)[outcome])
+    if gate is not None:
+        corrected = exact(gate) * corrected
+    overlap = (pair(a, b).H * corrected)[0]
+    return sp.expand(overlap * sp.conjugate(overlap))
+
+
+class TestClassBoundaries:
+    """A pair within CASE_TOL of a special class is given that class's psi
+    correction, so it can miss the class by up to CASE_TOL. Its fidelity in
+    closed form must still count as a success."""
+
+    U = sp.Symbol("u", real=True)  # equatorial offset: alpha**2 = 1/2 + u
+
+    def test_real_correction_off_the_real_axis(self):
+        # beta = x + iy with y = Im beta small: the uncorrected qubit scores 1 - 4 alpha**2 y**2
+        fidelity = table_fidelity((Outcome.PSI, TargetCase.REAL), ALPHA, BETA)
+        assert vanishes(fidelity - (1 - 4 * ALPHA**2 * Y**2))
+
+    def test_equatorial_correction_off_the_equator(self):
+        a, r = sp.symbols("a r", positive=True)  # the moduli of alpha and beta
+        fidelity = table_fidelity(
+            (Outcome.PSI, TargetCase.EQUATORIAL), a, r * sp.exp(sp.I * THETA)
+        )
+        moduli = [a**2 - HALF - self.U, r**2 - HALF + self.U]
+        remainder = sp.reduced(sp.simplify(fidelity) - (1 - 4 * self.U**2), moduli, a, r, self.U)[1]
+        assert remainder == 0
+
+    def test_case_tol_keeps_both_boundaries_inside_success_tol(self):
+        tol = sp.Rational(repr(CASE_TOL))
+        # |Im beta| <= CASE_TOL with alpha <= 1
+        real_deficit = 4 * tol**2
+        # |alpha - 1/sqrt(2)| <= CASE_TOL (and |beta| likewise) bounds |u|
+        offset = sp.sqrt(2) * tol + tol**2
+        equatorial_deficit = 4 * offset**2
+        assert real_deficit <= sp.Rational(repr(SUCCESS_TOL))
+        assert equatorial_deficit <= sp.Rational(repr(SUCCESS_TOL))
+
+
+def exact_columns(states) -> sp.Matrix:
+    """Library states as the columns of an exact matrix; every amplitude must be 0 or 1."""
+    columns = np.column_stack([state.amplitudes for state in states])
+    assert np.isin(columns, (0, 1)).all()
+    return sp.Matrix(columns.real.astype(int))
+
+
+class TestFanout:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_symbolic_seed_fans_out_to_the_goal_pair(self, m):
+        # the library's two steps read as exact matrices, column by column
+        seeds = [StateVector(1, column) for column in np.eye(2)]
+        ancillas = exact_columns(append_ancillas(seed, m - 1) for seed in seeds)
+        inputs = [StateVector(m, column) for column in np.eye(2**m)]
+        fanout = exact_columns(cnot_fanout(state, 0, range(1, m)) for state in inputs)
+        goal = sp.zeros(2**m, 1)
+        goal[0], goal[-1] = ALPHA, BETA
+        assert fanout * ancillas * pair(ALPHA, BETA) == goal
 
 
 def certified_figures(case: TargetCase) -> tuple[sp.Rational, sp.Rational]:

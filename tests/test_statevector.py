@@ -33,7 +33,13 @@ from bellrsp import (
     make_bell,
     measure_in_basis,
 )
-from oracles import dense_cnot, kron_chain, random_pair, random_state_vector
+from oracles import (
+    dense_cnot,
+    kron_chain,
+    random_pair,
+    random_state_vector,
+    tensordot_measurement,
+)
 
 ATOL = 1e-12
 
@@ -248,6 +254,24 @@ class TestMeasureInBasis:
         assert abs(np.linalg.norm(collapsed.amplitudes) - 1.0) < ATOL
         assert collapsed.n_qubits == 3
 
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 6), data=st.data())
+    def test_matches_the_tensordot_contraction_bit_for_bit(self, n, data):
+        qubit = data.draw(st.integers(0, n - 1), label="qubit")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        state, basis = random_state(rng, n), random_basis(rng)
+        for branch in Outcome:
+            prob, collapsed = tensordot_measurement(state, qubit, basis, branch)
+            _, got_prob, got = measure_in_basis(state, qubit, basis, branch)
+            assert repr(got_prob) == repr(prob)
+            assert got.amplitudes.tobytes() == collapsed.amplitudes.tobytes()
+        # a sampled measurement draws against the same psi probability
+        p_psi, _ = tensordot_measurement(state, qubit, basis, Outcome.PSI)
+        expected = Outcome.PSI if np.random.default_rng(seed).random() < p_psi else Outcome.PSI_PERP
+        drawn, _, _ = measure_in_basis(state, qubit, basis, np.random.default_rng(seed))
+        assert drawn is expected
+
 
 class TestApply1q:
     def test_rotation_fixes_the_perp_branch(self):
@@ -267,6 +291,13 @@ class TestApply1q:
         state = StateVector(1, np.array([0.6, 0.8]))
         out = apply_1q(state, 0, PAULI_X)
         np.testing.assert_allclose(out.amplitudes, [0.8, 0.6], atol=ATOL)
+
+    @pytest.mark.parametrize("gate", [PAULI_X, ROT90], ids=["PAULI_X", "ROT90"])
+    def test_gate_constants_are_read_only(self, gate):
+        before = gate.copy()
+        with pytest.raises(ValueError):
+            gate[:] = [[1, 0], [0, 1]]
+        assert gate.tobytes() == before.tobytes()
 
     def test_non_unitary_rejected(self):
         with pytest.raises(NonUnitary):
