@@ -43,6 +43,7 @@ def _freeze(array: np.ndarray) -> np.ndarray:
 # 2x2 gates used by the protocol's corrections.
 PAULI_X = _freeze(np.array([[0, 1], [1, 0]], dtype=complex))
 ROT90 = _freeze(np.array([[0, -1], [1, 0]], dtype=complex))  # maps (b, -a) to (a, b)
+_EYE2 = _freeze(np.eye(2))  # what U†U must equal
 
 
 class Outcome(enum.Enum):
@@ -59,6 +60,8 @@ class StateVector:
     Amplitudes must be finite and normalized within ``INPUT_TOL``; they are
     rescaled to exact unit norm on construction so every downstream identity
     holds at ``NORM_TOL`` even when coefficients were entered as decimals.
+    A register above ``MAX_QUBITS`` raises ``BadQubitCount`` before its size
+    is computed.
     """
 
     n_qubits: int
@@ -67,6 +70,7 @@ class StateVector:
     def __post_init__(self) -> None:
         if self.n_qubits < 0:
             raise ValueError(f"n_qubits must be >= 0, got {self.n_qubits}")
+        _require_dense(self.n_qubits)
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amps.size != 2**self.n_qubits:
             raise ValueError(
@@ -75,7 +79,7 @@ class StateVector:
             )
         if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite (no NaN/Inf)")
-        norm = np.linalg.norm(amps)
+        norm = _norm(amps)
         if abs(norm - 1.0) > INPUT_TOL:
             raise ValueError(f"state norm {float(norm)!r} is not 1 within {INPUT_TOL}")
         # divide (or copy) so the frozen buffer is never shared with the caller
@@ -131,7 +135,7 @@ class MeasurementBasis:
         if psi.shape != (2,) or perp.shape != (2,):
             raise ValueError("basis vectors must have exactly 2 components")
         for name, vec in (("psi", psi), ("psi_perp", perp)):
-            if abs(np.linalg.norm(vec) - 1.0) > NORM_TOL:
+            if abs(_norm(vec) - 1.0) > NORM_TOL:
                 raise ValueError(f"{name} is not unit norm")
         if abs(np.vdot(psi, perp)) > NORM_TOL:
             raise ValueError("basis vectors are not orthogonal")
@@ -195,10 +199,8 @@ def measure_in_basis(
 
 def _project(state: StateVector, qubit: int, basis: MeasurementBasis) -> tuple:
     """``(outcome, Born probability, unnormalised branch)`` for psi_perp, then
-    psi: the amplitudes as rows indexed by the measured qubit, times the basis
-    vector's conjugate in the one ``np.dot`` that ``np.tensordot`` makes, on the
-    same operands in the same layout, so the results are bit-identical to it."""
-    rows = state.amplitudes.reshape(2**qubit, 2, -1).swapaxes(0, 1).reshape(2, -1)
+    psi: the basis vector's conjugate times ``_rows`` in one ``np.dot``."""
+    rows = _rows(state, qubit)
     perp, psi = (np.dot(v.conj().reshape(1, 2), rows) for v in (basis.psi_perp, basis.psi))
     return (
         (Outcome.PSI_PERP, float(np.vdot(perp, perp).real), perp),
@@ -214,26 +216,37 @@ def _collapse(state: StateVector, outcome: Outcome, prob: float, branch) -> Stat
 
 
 def apply_1q(state: StateVector, qubit: int, u: np.ndarray) -> StateVector:
-    """Apply a 2x2 unitary to one qubit."""
+    """Apply a 2x2 unitary to one qubit: one ``np.dot`` of ``u`` with the
+    amplitudes as rows indexed by that qubit, copied back to qubit order."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
     _require_unitary(u)
     if not 0 <= qubit < state.n_qubits:
         raise IndexError(f"qubit {qubit} out of range for {state.n_qubits} qubits")
-    tensor = np.moveaxis(state.amplitudes.reshape([2] * state.n_qubits), qubit, 0)
-    out = np.moveaxis(np.tensordot(u, tensor, axes=([1], [0])), 0, qubit)
-    return StateVector(state.n_qubits, out.reshape(-1))
+    out = np.dot(u, _rows(state, qubit)).reshape(2, 2**qubit, -1)
+    return StateVector(state.n_qubits, out.swapaxes(0, 1).reshape(-1))
+
+
+def _rows(state: StateVector, qubit: int) -> np.ndarray:
+    """The amplitudes as 2 rows indexed by ``qubit``: the operand that
+    ``np.tensordot`` hands its one ``np.dot`` when it contracts that axis, in
+    the same layout, so a product with it is bit-identical to tensordot's."""
+    return state.amplitudes.reshape(2**qubit, 2, -1).swapaxes(0, 1).reshape(2, -1)
+
+
+def _norm(x: np.ndarray) -> np.floating:
+    """The 2-norm of a 1-D complex vector by the calls ``np.linalg.norm``
+    makes for one, without its argument handling, so bit-identical to it."""
+    x = x.ravel(order="K")
+    return np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
 def append_ancillas(state: StateVector, k: int) -> StateVector:
     """Tensor k fresh |0> qubits onto the low-order end of the register."""
     if k < 0:
         raise ValueError(f"ancilla count must be >= 0, got {k}")
-    if state.n_qubits + k > MAX_QUBITS:
-        raise BadQubitCount(
-            f"register needs at most {MAX_QUBITS} qubits, got {state.n_qubits + k}"
-        )
+    _require_dense(state.n_qubits + k)
     if k == 0:
         return state
     zeros = np.zeros(2**k, dtype=complex)
@@ -298,8 +311,13 @@ def check_decomposition(alpha: float, beta: complex) -> float:
     return float(np.max(np.abs(recon - make_bell().amplitudes)))
 
 
+def _require_dense(n_qubits: int) -> None:
+    if n_qubits > MAX_QUBITS:
+        raise BadQubitCount(f"register needs at most {MAX_QUBITS} qubits, got {n_qubits}")
+
+
 def _require_unitary(u: np.ndarray) -> None:
-    deviation = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
+    deviation = np.max(np.abs(u.conj().T @ u - _EYE2))
     if deviation > UNITARY_TOL:
         raise NonUnitary(f"U†U deviates from identity by {deviation!r}")
 

@@ -19,7 +19,6 @@ from bellrsp import (
     TargetCase,
     TargetSpec,
     append_ancillas,
-    apply_1q,
     basis_from_target,
     canonicalize_target,
     cnot_fanout,
@@ -109,11 +108,11 @@ def dense_receiver_state(target: TargetSpec, branch: Outcome) -> StateVector | N
     basis = basis_from_target(target.alpha, target.beta)
     _, _, collapsed = measure_in_basis(make_bell(), 0, basis, branch)
     if branch is Outcome.PSI_PERP:
-        corrected = apply_1q(collapsed, 0, ROT90)
+        corrected = tensordot_apply_1q(collapsed, 0, ROT90)
     elif target.case_tag is TargetCase.REAL:
         corrected = collapsed
     elif target.case_tag is TargetCase.EQUATORIAL:
-        corrected = apply_1q(collapsed, 0, PAULI_X)
+        corrected = tensordot_apply_1q(collapsed, 0, PAULI_X)
     else:
         return None
     extended = append_ancillas(corrected, target.m - 1)
@@ -131,3 +130,12 @@ def tensordot_measurement(
     amplitudes = np.tensordot(vector.conj(), tensor, axes=([0], [0]))
     prob = float(np.vdot(amplitudes, amplitudes).real)
     return prob, StateVector(state.n_qubits - 1, amplitudes.reshape(-1) / np.sqrt(prob))
+
+
+def tensordot_apply_1q(state: StateVector, qubit: int, u: np.ndarray) -> StateVector:
+    """A 2x2 gate on one qubit, by contracting the gate's columns with the
+    qubit's axis, moved to the front, in ``np.tensordot``, then moving the
+    new axis back to the qubit's place."""
+    tensor = np.moveaxis(state.amplitudes.reshape([2] * state.n_qubits), qubit, 0)
+    out = np.moveaxis(np.tensordot(u, tensor, axes=([1], [0])), 0, qubit)
+    return StateVector(state.n_qubits, out.reshape(-1))

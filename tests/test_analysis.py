@@ -172,6 +172,26 @@ class TestBranchTable:
         call(real_target())
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "make", [general_target, real_target, equatorial_target],
+        ids=["general", "real", "equatorial"],
+    )
+    def test_no_tensordot_moveaxis_or_linalg_norm_call(self, monkeypatch, make):
+        calls = []
+        for module, name in ((np, "tensordot"), (np, "moveaxis"), (np.linalg, "norm")):
+
+            def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        target = make()
+        exact_analyze(target)
+        monte_carlo(target, 100, seed=3)
+        for branch in Outcome:
+            run_trial(target, branch)
+        assert calls == []
+
 
 class TestMonteCarlo:
     def test_single_trial_equals_trial_record(self):

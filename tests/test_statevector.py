@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellrsp import (
+    INPUT_TOL,
     MAX_QUBITS,
+    NORM_TOL,
     BadQubitCount,
     DimensionMismatch,
     DuplicateTarget,
@@ -38,6 +40,7 @@ from oracles import (
     kron_chain,
     random_pair,
     random_state_vector,
+    tensordot_apply_1q,
     tensordot_measurement,
 )
 
@@ -107,6 +110,44 @@ class TestStateVector:
         assert again.n_qubits == 3
         np.testing.assert_allclose(again.amplitudes, state.amplitudes, atol=ATOL)
 
+    @pytest.mark.parametrize("n", [MAX_QUBITS + 1, 70, 10**6])
+    def test_rejects_register_above_max_before_sizing_it(self, n):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BadQubitCount, match=f"at most {MAX_QUBITS} qubits, got {n}"):
+                StateVector(n, np.array([1.0, 0.0]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 7),
+        layout=st.sampled_from(("contiguous", "strided", "unit", "basis")),
+        off=st.floats(-2 * INPUT_TOL, 2 * INPUT_TOL),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rescaling_is_linalg_norms_bit_for_bit(self, n, layout, off, seed):
+        # the rule: v / np.linalg.norm(v), or a copy where that norm is exactly 1
+        rng = np.random.default_rng(seed)
+        wide = random_state_vector(rng, n + 1)
+        pick = slice(None, None, 2) if layout == "strided" else slice(None, 2**n)
+        wide /= np.linalg.norm(wide[pick])
+        if layout != "unit":
+            wide *= 1.0 + off
+        v = wide[pick]  # a strided view stays one
+        if layout == "basis":
+            v = np.zeros(2**n, dtype=complex)
+            v[int(rng.integers(0, 2**n))] = (1, -1, 1j, -1j)[int(rng.integers(0, 4))]
+        norm = np.linalg.norm(v)
+        if abs(norm - 1.0) > INPUT_TOL:
+            with pytest.raises(ValueError, match="norm"):
+                StateVector(n, v)
+            return
+        expected = v / norm if norm != 1.0 else v.copy()
+        assert StateVector(n, v).amplitudes.tobytes() == expected.tobytes()
+
 
 class TestMeasurementBasis:
     def test_rejects_non_unit_vector(self):
@@ -121,6 +162,17 @@ class TestMeasurementBasis:
         basis = basis_from_target(1.0, 0.0)
         np.testing.assert_allclose(basis.psi, [1, 0], atol=ATOL)
         np.testing.assert_allclose(basis.psi_perp, [0, -1], atol=ATOL)
+
+    @settings(max_examples=100, deadline=None)
+    @given(off=st.floats(-2 * NORM_TOL, 2 * NORM_TOL), seed=st.integers(0, 2**32 - 1))
+    def test_unit_norm_check_is_linalg_norms(self, off, seed):
+        q = random_basis(np.random.default_rng(seed))
+        psi = q.psi * (1.0 + off)
+        if abs(np.linalg.norm(psi) - 1.0) > NORM_TOL:
+            with pytest.raises(ValueError, match="psi is not unit norm"):
+                MeasurementBasis(psi, q.psi_perp)
+        else:
+            assert MeasurementBasis(psi, q.psi_perp).psi.tobytes() == psi.tobytes()
 
 
 class TestMakeBell:
@@ -176,6 +228,19 @@ class TestBasisFromTarget:
             assert abs(np.linalg.norm(basis.psi) - 1.0) < ATOL
             assert abs(np.linalg.norm(basis.psi_perp) - 1.0) < ATOL
             assert abs(np.vdot(basis.psi, basis.psi_perp)) < ATOL
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(off=st.floats(-INPUT_TOL, INPUT_TOL), seed=st.integers(0, 2**32 - 1))
+    def test_vectors_are_the_pair_over_its_norm_bit_for_bit(self, off, seed):
+        alpha, beta = random_pair(np.random.default_rng(seed))
+        alpha *= 1.0 + off
+        basis = basis_from_target(alpha, beta)
+        norm = np.sqrt(alpha * alpha + abs(beta) ** 2)
+        psi = np.array([alpha, beta], dtype=complex) / norm
+        psi_perp = np.array([beta.conjugate(), -alpha], dtype=complex) / norm
+        assert basis.psi.tobytes() == psi.tobytes()
+        assert basis.psi_perp.tobytes() == psi_perp.tobytes()
 
 
 class TestMeasureInBasis:
@@ -323,6 +388,25 @@ class TestApply1q:
         out = apply_1q(state, 1, q)
         dense = kron_chain(np.eye(2), q, np.eye(2))
         np.testing.assert_allclose(out.amplitudes, dense @ state.amplitudes, atol=ATOL)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        layout=st.sampled_from(("C", "Fortran", "transposed")),
+        data=st.data(),
+    )
+    def test_matches_the_tensordot_contraction_bit_for_bit(self, n, layout, data):
+        qubit = data.draw(st.integers(0, n - 1), label="qubit")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        state = random_state(rng, n)
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        u = {
+            "C": np.ascontiguousarray(q),
+            "Fortran": np.asfortranarray(q),
+            "transposed": np.ascontiguousarray(q).T,
+        }[layout]
+        expected = tensordot_apply_1q(state, qubit, u)
+        assert apply_1q(state, qubit, u).amplitudes.tobytes() == expected.amplitudes.tobytes()
 
 
 class TestApplyCnot:
