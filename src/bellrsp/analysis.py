@@ -2,8 +2,10 @@
 
 A trial is a pure function of its measurement branch, so two records make
 the protocol's branch table: probability, bits and success for psi_perp and
-for psi. ``branch_table`` builds both from one measurement of the Bell pair,
-and ``exact_analyze`` is their weighted sum, with no sampling error.
+for psi. ``branch_table`` writes both down in closed form, each at Born
+probability exactly 1/2, and ``exact_analyze`` is their weighted sum, with
+no sampling error and no rounding: 0.5/0.5 bits for a general target and
+1.0/1.5 for the special cases, bit for bit.
 ``monte_carlo`` estimates the same figures from one seeded stream of uniforms,
 trial i reading the stream's i-th draw, so the result is a pure function of
 (target, trials, seed) and never depends on the worker count.
@@ -113,13 +115,12 @@ LITERATURE_ROWS = (
 
 
 def exact_analyze(target: TargetSpec) -> ExactAnalysis:
-    """Weighted sum over the branch table: both records, built by
-    ``branch_table`` from one measurement of the Bell pair, and the Born
-    probability each carries.
+    """Weighted sum over the branch table: both records, written by
+    ``branch_table`` in closed form, and the Born probability each carries.
 
     For the Bell channel both probabilities are exactly 1/2, so the general
     case gives p_success = 0.5 with 0.5 expected bits, and the special cases
-    give 1.0 with 1.5 expected bits.
+    give 1.0 with 1.5 expected bits; the float sums are exact.
     """
     records = branch_table(target)
     # the 0.0 start keeps a float when no branch succeeds
@@ -155,7 +156,7 @@ def monte_carlo(
     if workers < 1:
         raise InvalidFlag(f"workers must be >= 1, got {workers}")
     rng = trial_rng(seed, 0)
-    perp, psi = exact_analyze(target).per_branch
+    perp, psi = branch_table(target)
     hits = 0
     for start in range(0, trials, DRAW_BLOCK):
         draws = rng.random(min(DRAW_BLOCK, trials - start))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,12 +37,7 @@ from .statevector import (
     GhzState,
     Outcome,
     StateVector,
-    _collapse,
-    _project,
     apply_1q,
-    basis_from_target,
-    make_bell,
-    measure_in_basis,
 )
 
 CASE_TOL = 1e-9     # case classification works on user-entered decimals
@@ -87,11 +83,7 @@ class TargetSpec:
         _require_qubit_count(self.m)
         if self.alpha < 0:
             raise NegativeAlpha(f"alpha must be >= 0, got {self.alpha}")
-        norm_sq = self.alpha**2 + abs(self.beta) ** 2
-        if abs(np.sqrt(norm_sq) - 1.0) > INPUT_TOL:
-            raise NonNormalizedTarget(
-                f"alpha**2 + |beta|**2 = {float(norm_sq)!r}, not 1 within {INPUT_TOL}"
-            )
+        _unit_pair(self.alpha, self.beta, require_unit=True)
         if self.case_tag is not classify_case(self.alpha, self.beta):
             raise ValueError(
                 f"case_tag {self.case_tag.value!r} does not match the "
@@ -120,6 +112,31 @@ def _require_qubit_count(m: int) -> None:
         raise BadQubitCount(f"target needs at most {MAX_QUBITS} qubits, got m={m}")
 
 
+def _unit_pair(a: complex, b: complex, require_unit: bool, hint="") -> tuple[complex, complex]:
+    """``(a, b)`` over their norm. Beyond 2**+-500, where a square would
+    overflow or lose digits, both are first scaled by the exact power of two
+    2**-e that puts the largest component in [0.5, 1). A zero pair raises
+    ``NonNormalizedTarget``, and so does, with ``require_unit``, a norm off 1
+    by more than ``INPUT_TOL``; a scaled pair always is, and its squared
+    norm, which no float may hold, is printed in decimal."""
+    e = math.frexp(max(abs(a.real), abs(a.imag), abs(b.real), abs(b.imag)))[1]
+    if abs(e) > 500:
+        a, b = (complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in (a, b))
+    else:
+        e = 0
+    norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+    if norm == 0.0:
+        raise NonNormalizedTarget("coefficients are both zero")
+    if require_unit and (e != 0 or not abs(norm - 1.0) <= INPUT_TOL):  # NaN fails too
+        text = repr(norm * norm)
+        if e != 0:
+            from decimal import Context, Decimal  # here, not at import: ~1 ms and 0.3 MB
+
+            text = f"{(Decimal(norm * norm) * Decimal(4) ** e).normalize(Context(prec=12)):g}"
+        raise NonNormalizedTarget(f"alpha**2 + |beta|**2 = {text}, not 1 within {INPUT_TOL}{hint}")
+    return a / norm, b / norm
+
+
 def classify_case(alpha: float, beta: complex) -> TargetCase:
     """Classify a canonical pair; REAL wins when both special tests pass."""
     if abs(complex(beta).imag) <= CASE_TOL:
@@ -144,23 +161,15 @@ def canonicalize_target(
     becomes real and nonnegative (the state itself is unchanged), rescales to
     exact unit norm, and tags the case. Pass ``normalize=True`` to accept a
     pair of any nonzero norm; otherwise the norm must already be 1 within
-    ``INPUT_TOL``.
+    ``INPUT_TOL``. Any finite pair is handled, subnormal or near the float
+    maximum.
     """
     _require_qubit_count(m)
     a = complex(alpha_raw)
     b = complex(beta_raw)
     if not (cmath.isfinite(a) and cmath.isfinite(b)):
         raise NonNormalizedTarget("coefficients must be finite")
-    norm = np.sqrt(abs(a) ** 2 + abs(b) ** 2)
-    if norm == 0.0:
-        raise NonNormalizedTarget("coefficients are both zero")
-    if not normalize and abs(norm - 1.0) > INPUT_TOL:
-        raise NonNormalizedTarget(
-            f"alpha**2 + |beta|**2 = {float(norm * norm)!r}, not 1 within {INPUT_TOL}; "
-            "pass normalize=True to rescale"
-        )
-    a /= norm
-    b /= norm
+    a, b = _unit_pair(a, b, not normalize, "; pass normalize=True to rescale")
     # phase away arg(alpha); for alpha = 0 make beta real positive instead
     reference = a if abs(a) > 0 else b
     phase = reference.conjugate() / abs(reference)
@@ -267,43 +276,44 @@ class TrialRecord:
 def run_trial(
     target: TargetSpec, select: Outcome | np.random.Generator
 ) -> TrialRecord:
-    """One full protocol run against a fresh Bell pair.
+    """One full protocol run: the ``branch_table`` record of one branch.
 
     ``select`` either forces the sender's measurement branch or supplies the
-    random draw. Fidelity is |<bob|goal>|**2 with the goal from
-    ``build_target_state``, blind to global phase and capped at 1 so
-    rounding never reports more. Both states are their seeds fanned out
-    alike, so it is the seeds' overlap and no 2**m array is built. An
-    aborted run scores 0. The record carries the Born probability of the
-    branch taken; ``branch_table`` gives both branches' records at once.
+    random draw, which lands in psi when it falls below psi's Born
+    probability, exactly as ``monte_carlo`` counts its draws.
     """
-    basis = basis_from_target(target.alpha, target.beta)
-    outcome, probability, collapsed = measure_in_basis(make_bell(), 0, basis, select)
-    return _record(target, outcome, probability, collapsed)
+    perp, psi = branch_table(target)
+    if isinstance(select, np.random.Generator):
+        select = Outcome.PSI if select.random() < psi.probability else Outcome.PSI_PERP
+    if not isinstance(select, Outcome):
+        raise TypeError("select must be an Outcome or a numpy random Generator")
+    return psi if select is Outcome.PSI else perp
 
 
 def branch_table(target: TargetSpec) -> tuple[TrialRecord, TrialRecord]:
-    """The psi_perp and psi records that forced ``run_trial`` calls give, from
-    one basis, one projection of the Bell pair and one goal state."""
-    bell, goal = make_bell(), build_target_state(target)
-    basis = basis_from_target(target.alpha, target.beta)
-    return tuple(
-        _record(target, outcome, prob, _collapse(bell, outcome, prob, branch), goal)
-        for outcome, prob, branch in _project(bell, 0, basis)
+    """The psi_perp and psi records in closed form. Alice's half of the Bell
+    pair is I/2, so each branch has probability exactly 1/2, and measuring it
+    in {psi, psi_perp} leaves the receiver (beta, -alpha) on psi_perp and
+    (alpha, conj(beta)) on psi. The table's gate corrects that qubit; the
+    fidelity, |<bob|goal>|**2 capped at 1, is computed from the two seeds,
+    so no 2**m array is built. An aborted run scores 0."""
+    alpha, beta, goal = target.alpha, target.beta, build_target_state(target)
+    return (
+        _record(target, Outcome.PSI_PERP, StateVector(1, [beta, -alpha]), goal),
+        _record(target, Outcome.PSI, StateVector(1, [alpha, beta.conjugate()]), goal),
     )
 
 
-def _record(target, outcome, probability, collapsed, goal=None) -> TrialRecord:
-    """One branch's message, receiver state and score; builds a goal not given."""
+def _record(target, outcome, collapsed, goal) -> TrialRecord:
+    """One branch's message, receiver state and score, at probability 1/2."""
     message = alice_encode(outcome, target.case_tag)
     bob_state = bob_act(message, collapsed, target.m)
     fidelity = 0.0  # an aborted run
     if bob_state is not None:
-        goal = goal or build_target_state(target)
         overlap = np.vdot(bob_state.seed.amplitudes, goal.seed.amplitudes)
         fidelity = min(1.0, float(abs(overlap) ** 2))
     return TrialRecord(
         outcome=outcome, message=message, bob_state=bob_state, fidelity=fidelity,
         success=fidelity >= 1.0 - SUCCESS_TOL, bits_sent=message.bit_count,
-        probability=probability,
+        probability=0.5,
     )

@@ -186,33 +186,19 @@ def measure_in_basis(
     """
     if not 0 <= qubit < state.n_qubits:
         raise IndexError(f"qubit {qubit} out of range for {state.n_qubits} qubits")
-    perp, psi = _project(state, qubit, basis)
-    if isinstance(select, Outcome):
-        outcome = select
-    elif isinstance(select, np.random.Generator):
-        outcome = Outcome.PSI if select.random() < psi[1] else Outcome.PSI_PERP
-    else:
-        raise TypeError("select must be an Outcome or a numpy random Generator")
-    _, prob, branch = psi if outcome is Outcome.PSI else perp
-    return outcome, prob, _collapse(state, outcome, prob, branch)
-
-
-def _project(state: StateVector, qubit: int, basis: MeasurementBasis) -> tuple:
-    """``(outcome, Born probability, unnormalised branch)`` for psi_perp, then
-    psi: the basis vector's conjugate times ``_rows`` in one ``np.dot``."""
+    # each basis vector's conjugate times the qubit's rows, in one np.dot
     rows = _rows(state, qubit)
     perp, psi = (np.dot(v.conj().reshape(1, 2), rows) for v in (basis.psi_perp, basis.psi))
-    return (
-        (Outcome.PSI_PERP, float(np.vdot(perp, perp).real), perp),
-        (Outcome.PSI, float(np.vdot(psi, psi).real), psi),
-    )
-
-
-def _collapse(state: StateVector, outcome: Outcome, prob: float, branch) -> StateVector:
-    """``state`` after ``outcome``: its renormalised branch, one qubit fewer."""
+    if isinstance(select, np.random.Generator):
+        p_psi = float(np.vdot(psi, psi).real)
+        select = Outcome.PSI if select.random() < p_psi else Outcome.PSI_PERP
+    if not isinstance(select, Outcome):
+        raise TypeError("select must be an Outcome or a numpy random Generator")
+    branch = psi if select is Outcome.PSI else perp
+    prob = float(np.vdot(branch, branch).real)
     if prob < MIN_BRANCH_PROB:
-        raise ZeroProbabilityBranch(f"branch {outcome.value} has probability {prob!r}")
-    return StateVector(state.n_qubits - 1, branch / np.sqrt(prob))
+        raise ZeroProbabilityBranch(f"branch {select.value} has probability {prob!r}")
+    return select, prob, StateVector(state.n_qubits - 1, branch / np.sqrt(prob))
 
 
 def apply_1q(state: StateVector, qubit: int, u: np.ndarray) -> StateVector:

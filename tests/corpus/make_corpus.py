@@ -6,12 +6,15 @@ in process, or ``["demos/<name>.py"]`` for a demo script run as ``__main__``.
 Each line of the file is the sha256 of (exit code, stdout, stderr) and the
 argv as JSON. ``test_corpus.py`` replays the file, so any change to any of
 these bytes fails Tier-1. Regenerate the file only for a deliberate output
-change, and list every argv whose digest changed alongside the change.
+change, and list every argv whose digest changed alongside the change: the
+script prints each one that changed or is new, then a count per subcommand
+and ``--format``.
 
 The argv list is deterministic. It covers edge targets at m = 2, 3 and 8
 (every subcommand and format, ``run`` forced and seeded, ``montecarlo``
 seeds up to 2**70), ``--normalize``, m = 24 without the dense JSON, the
-error inputs, argparse's own errors and help, and the five demos.
+error inputs, argparse's own errors and help, coefficients at the ends of
+the float range, and the five demos.
 ``COLUMNS`` is pinned to 80 while an entry runs, because argparse wraps its
 usage text to the terminal width.
 """
@@ -26,6 +29,7 @@ import math
 import os
 import runpy
 import sys
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -158,6 +162,16 @@ def _error_argvs() -> list[list[str]]:
     return argvs
 
 
+# coefficients whose squares overflow or underflow a float
+EXTREME_ARGVS = [
+    ["analyze", "--alpha", "1e200", "--beta-re", "0", "--m", "3"],
+    ["analyze", "--alpha", "1e200", "--beta-re", "0", "--m", "3", "--normalize"],
+    ["analyze", "--alpha", "1e-320", "--beta-re", "0", "--m", "3", "--normalize"],
+    ["analyze", "--alpha", "3e-162", "--beta-re", "3e-162", "--beta-im", "1e-170",
+     "--m", "3", "--normalize"],
+]
+
+
 def corpus_argvs() -> list[list[str]]:
     argvs = []
     for pair in TARGETS:
@@ -169,6 +183,7 @@ def corpus_argvs() -> list[list[str]]:
         # no run --format json: it writes all 2**24 amplitudes
         argvs += _subcommands(_target_flags(pair, LARGE_M), json_run=False)
     argvs += _error_argvs()
+    argvs += EXTREME_ARGVS
     argvs += [[f"{DEMO_PREFIX}{path.name}"] for path in sorted((ROOT / "demos").glob("*.py"))]
     return argvs
 
@@ -205,14 +220,30 @@ def read_corpus(path: Path = CORPUS) -> list[tuple[str, list[str]]]:
     return entries
 
 
-def write_corpus(path: Path = CORPUS) -> int:
-    lines = [
-        f"{digest(*invoke(argv))} {json.dumps(argv, ensure_ascii=False)}\n"
-        for argv in corpus_argvs()
-    ]
-    path.write_text("".join(lines), encoding="utf-8")
-    return len(lines)
+def write_corpus(path: Path = CORPUS) -> tuple[int, list[list[str]]]:
+    """Rewrite the file; return its entry count and the argvs whose digest
+    changed or that are new, in file order."""
+    old = {json.dumps(argv): sha for sha, argv in read_corpus(path)} if path.exists() else {}
+    entries = [(digest(*invoke(argv)), argv) for argv in corpus_argvs()]
+    path.write_text(
+        "".join(f"{sha} {json.dumps(argv, ensure_ascii=False)}\n" for sha, argv in entries),
+        encoding="utf-8",
+    )
+    return len(entries), [argv for sha, argv in entries if old.get(json.dumps(argv)) != sha]
+
+
+def kind(argv: list[str]) -> str:
+    """``subcommand --format`` of an entry; a demo is its path alone."""
+    if not argv or argv[0].startswith(DEMO_PREFIX):
+        return " ".join(argv) or "(no argv)"
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv[:-1] else "text"
+    return f"{argv[0]} --format {fmt}"
 
 
 if __name__ == "__main__":
-    print(f"{write_corpus()} entries written to {CORPUS.relative_to(ROOT)}")
+    count, changed = write_corpus()
+    for argv in changed:
+        print(f"changed or new: {json.dumps(argv, ensure_ascii=False)}")
+    for name, n in sorted(Counter(kind(argv) for argv in changed).items()):
+        print(f"{n:6d}  {name}")
+    print(f"{count} entries written to {CORPUS.relative_to(ROOT)}, {len(changed)} changed or new")

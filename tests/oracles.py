@@ -19,11 +19,8 @@ from bellrsp import (
     TargetCase,
     TargetSpec,
     append_ancillas,
-    basis_from_target,
     canonicalize_target,
     cnot_fanout,
-    make_bell,
-    measure_in_basis,
 )
 
 
@@ -101,12 +98,21 @@ def random_target(
     return canonicalize_target(alpha, beta, m)
 
 
+def collapsed_seed(target: TargetSpec, branch: Outcome) -> StateVector:
+    """The receiver's qubit once the sender has measured the Bell pair,
+    written from the target: (beta, -alpha) after psi_perp, (alpha,
+    conj(beta)) after psi. ``test_certificate.py`` proves both forms, and
+    ``test_protocol.py`` ties them to ``measure_in_basis``."""
+    if branch is Outcome.PSI_PERP:
+        return StateVector(1, [target.beta, -target.alpha])
+    return StateVector(1, [target.alpha, target.beta.conjugate()])
+
+
 def dense_receiver_state(target: TargetSpec, branch: Outcome) -> StateVector | None:
-    """The receiver's m-qubit state built densely, gate by gate: measure the
-    Bell pair, correct the collapsed qubit as the branch and case require,
-    then tensor m-1 ancillas and fan out. None where the run aborts."""
-    basis = basis_from_target(target.alpha, target.beta)
-    _, _, collapsed = measure_in_basis(make_bell(), 0, basis, branch)
+    """The receiver's m-qubit state built densely, gate by gate: correct the
+    collapsed qubit as the branch and case require, then tensor m-1 ancillas
+    and fan out. None where the run aborts."""
+    collapsed = collapsed_seed(target, branch)
     if branch is Outcome.PSI_PERP:
         corrected = tensordot_apply_1q(collapsed, 0, ROT90)
     elif target.case_tag is TargetCase.REAL:

@@ -24,11 +24,9 @@ from bellrsp import (
     run_trial,
     trial_rng,
 )
-from bellrsp import InvalidFlag, analysis, protocol
+from bellrsp import CASE_TOL, NORM_TOL, InvalidFlag, analysis, protocol, statevector
 from bellrsp.cli import main
 from oracles import random_target
-
-ATOL = 1e-12
 
 
 def general_target(m=2):
@@ -61,18 +59,15 @@ def brute_force_cases():
 class TestExactAnalyze:
     def test_general_figures(self):
         analysis = exact_analyze(general_target())
-        assert analysis.p_success == pytest.approx(0.5, abs=ATOL)
-        assert analysis.expected_bits == pytest.approx(0.5, abs=ATOL)
+        assert (analysis.p_success, analysis.expected_bits) == (0.5, 0.5)
 
     def test_real_figures(self):
         analysis = exact_analyze(real_target())
-        assert analysis.p_success == pytest.approx(1.0, abs=ATOL)
-        assert analysis.expected_bits == pytest.approx(1.5, abs=ATOL)
+        assert (analysis.p_success, analysis.expected_bits) == (1.0, 1.5)
 
     def test_equatorial_figures(self):
         analysis = exact_analyze(equatorial_target())
-        assert analysis.p_success == pytest.approx(1.0, abs=ATOL)
-        assert analysis.expected_bits == pytest.approx(1.5, abs=ATOL)
+        assert (analysis.p_success, analysis.expected_bits) == (1.0, 1.5)
 
     def test_branch_probabilities_are_half_each(self):
         rng = np.random.default_rng(97)
@@ -80,9 +75,8 @@ class TestExactAnalyze:
             analysis = exact_analyze(random_target(rng, kind))
             assert len(analysis.per_branch) == 2
             for branch in analysis.per_branch:
-                assert branch.probability == pytest.approx(0.5, abs=ATOL)
-            total = sum(b.probability for b in analysis.per_branch)
-            assert total == pytest.approx(1.0, abs=ATOL)
+                assert branch.probability == 0.5
+            assert sum(b.probability for b in analysis.per_branch) == 1.0
 
     def test_aggregates_recompute_from_branches(self):
         rng = np.random.default_rng(101)
@@ -93,17 +87,12 @@ class TestExactAnalyze:
                 b.probability for b in analysis.per_branch if b.fidelity >= 1 - 1e-9
             )
             bits = sum(b.probability * b.bits_sent for b in analysis.per_branch)
-            assert analysis.p_success == pytest.approx(p, abs=ATOL)
-            assert analysis.expected_bits == pytest.approx(bits, abs=ATOL)
+            assert (analysis.p_success, analysis.expected_bits) == (p, bits)
 
     def test_figures_are_m_independent(self):
         for m in range(2, 11):
-            assert exact_analyze(general_target(m)).p_success == pytest.approx(
-                0.5, abs=ATOL
-            )
-            assert exact_analyze(real_target(m)).expected_bits == pytest.approx(
-                1.5, abs=ATOL
-            )
+            assert exact_analyze(general_target(m)).p_success == 0.5
+            assert exact_analyze(real_target(m)).expected_bits == 1.5
 
     def test_json_field_names(self):
         payload = exact_analyze(general_target()).to_json_dict()
@@ -116,12 +105,40 @@ class TestExactAnalyze:
         }
 
     def test_branch_probabilities_are_the_records_probabilities(self):
+        # the closed form's 1/2, against the dense engine's projection
         for target in (general_target(), real_target(), equatorial_target()):
             basis = basis_from_target(target.alpha, target.beta)
             for branch in exact_analyze(target).per_branch:
                 record = run_trial(target, branch.outcome)
                 _, measured, _ = measure_in_basis(make_bell(), 0, basis, branch.outcome)
-                assert branch.probability == record.probability == measured
+                assert branch.probability == record.probability == 0.5
+                assert abs(measured - 0.5) <= NORM_TOL
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(("general", "real", "equatorial")),
+        m=st.integers(2, 24),
+        seed=st.integers(0, 2**32 - 1),
+        offset=st.sampled_from((0.0, 0.5 * CASE_TOL, CASE_TOL, 1.5 * CASE_TOL)),
+        sign=st.sampled_from((1.0, -1.0)),
+    )
+    def test_figures_are_exact_for_every_target(self, kind, m, seed, offset, sign):
+        # the offset moves a real pair off the real axis, and an equatorial
+        # pair off the equator, by up to 1.5 CASE_TOL: either side of a class
+        target = random_target(np.random.default_rng(seed), kind, m)
+        if kind == "real":
+            beta = complex(target.beta.real, sign * offset)
+            target = canonicalize_target(target.alpha, beta, m, normalize=True)
+        elif kind == "equatorial":
+            alpha = SQRT_HALF + sign * offset
+            beta = np.sqrt(1.0 - alpha**2) * target.beta / abs(target.beta)
+            target = canonicalize_target(alpha, beta, m, normalize=True)
+        analysis = exact_analyze(target)
+        special = target.case_tag is not TargetCase.GENERAL
+        assert analysis.p_success == (1.0 if special else 0.5)
+        assert analysis.expected_bits == (1.5 if special else 0.5)
+        assert analysis.p_success <= 1.0
+        assert [r.probability for r in analysis.per_branch] == [0.5, 0.5]
 
 
 def record_fields(record):
@@ -161,16 +178,20 @@ class TestBranchTable:
         ids=["exact_analyze", "monte_carlo", "run_trial"],
     )
     def test_one_measurement_basis_per_call(self, monkeypatch, call):
+        # at most one, and since the table is in closed form, none: neither
+        # a basis nor a measurement of the Bell pair is made
         calls = []
-        original = protocol.basis_from_target
+        for name in ("basis_from_target", "measure_in_basis"):
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
+            def counting(*args, _name=name, _original=getattr(statevector, name)):
+                calls.append(_name)
+                return _original(*args)
 
-        monkeypatch.setattr(protocol, "basis_from_target", counting)
+            monkeypatch.setattr(statevector, name, counting)
+        for module in (protocol, analysis):
+            assert not {"basis_from_target", "measure_in_basis"} & vars(module).keys()
         call(real_target())
-        assert len(calls) == 1
+        assert calls == []
 
     @pytest.mark.parametrize(
         "make", [general_target, real_target, equatorial_target],
@@ -319,14 +340,14 @@ class TestComparisonTable:
         row = emit_comparison_table(general_target())[-1]
         assert row.channel == "one BS"
         assert row.identification == "1-qubit state"
-        assert row.classical_bits == pytest.approx(0.5, abs=ATOL)
+        assert row.classical_bits == 0.5
         assert "probabilistic" in row.target_family
         assert "m=2" in row.target_family
 
     def test_special_target_rows_report_deterministic_regime(self):
         for target in (real_target(), equatorial_target()):
             row = emit_comparison_table(target)[-1]
-            assert row.classical_bits == pytest.approx(1.5, abs=ATOL)
+            assert row.classical_bits == 1.5
             assert "deterministic" in row.target_family
             assert target.case_tag.value in row.target_family
 

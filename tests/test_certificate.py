@@ -6,7 +6,7 @@ rewrite, Born probabilities of exactly 1/2, and each gate of the protocol
 table taking its branch's collapsed qubit to the target up to a phase, the
 fidelity a pair at a class boundary still reaches, and the fan-out taking the
 seed to alpha|0...0> + beta|1...1>. The float engine is then pinned to the
-figures the certificate derives.
+figures the certificate derives, bit for bit.
 """
 
 import numpy as np
@@ -216,11 +216,10 @@ class TestFigures:
 
     @pytest.mark.parametrize("case", list(TargetCase), ids=lambda c: c.value)
     def test_float_engine_is_within_1e_15_of_the_certificate(self, case):
-        # within 1e-15, not bit-exact: Born probabilities can read
-        # 0.5000000000000001, and expected bits 1.5000000000000004
-        p_success, expected_bits = (float(v) for v in certified_figures(case))
+        # within 0, in fact: the branch table is the closed form, so each
+        # float's exact binary value is the certificate's rational
         rng = np.random.default_rng(611)
         for _ in range(300):
             analysis = exact_analyze(random_target(rng, case.value, m=2))
-            assert abs(analysis.p_success - p_success) <= 1e-15
-            assert abs(analysis.expected_bits - expected_bits) <= 1e-15
+            figures = (analysis.p_success, analysis.expected_bits)
+            assert tuple(sp.Rational(v) for v in figures) == certified_figures(case)

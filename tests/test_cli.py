@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -238,18 +239,18 @@ GOLDEN_OUTPUTS = {
     ),
     ("analyze", "general", "json"): (
         "{\n"
-        '  "p_success": 0.5000000000000001,\n'
-        '  "expected_bits": 0.5000000000000001,\n'
+        '  "p_success": 0.5,\n'
+        '  "expected_bits": 0.5,\n'
         '  "per_branch": [\n'
         "    {\n"
         '      "outcome": "psi_perp",\n'
-        '      "probability": 0.5000000000000001,\n'
+        '      "probability": 0.5,\n'
         '      "bits": 1,\n'
         '      "fidelity": 1.0\n'
         "    },\n"
         "    {\n"
         '      "outcome": "psi",\n'
-        '      "probability": 0.5000000000000001,\n'
+        '      "probability": 0.5,\n'
         '      "bits": 0,\n'
         '      "fidelity": 0.0\n'
         "    }\n"
@@ -258,8 +259,8 @@ GOLDEN_OUTPUTS = {
     ),
     ("analyze", "general", "csv"): (
         "outcome,probability,bits,fidelity\n"
-        "psi_perp,0.5000000000000001,1,1.0\n"
-        "psi,0.5000000000000001,0,0.0\n"
+        "psi_perp,0.5,1,1.0\n"
+        "psi,0.5,0,0.0\n"
     ),
     ("montecarlo", "general", "text", "5"): (
         "trials        1000\n"
@@ -338,7 +339,7 @@ GOLDEN_OUTPUTS = {
         '    "protocol_name": "this protocol",\n'
         '    "target_family": "α|0…0⟩+β|1…1⟩ (m=3, probabilistic regime)",\n'
         '    "channel": "one BS",\n'
-        '    "classical_bits": 0.5000000000000001,\n'
+        '    "classical_bits": 0.5,\n'
         '    "identification": "1-qubit state",\n'
         '    "source": "computed"\n'
         "  }\n"
@@ -351,7 +352,7 @@ GOLDEN_OUTPUTS = {
         "Dai et al.,α|0000⟩+β|1111⟩,two GHZSs,1.0,2-qubit ES,literature\n"
         "Zhan et al.,α|00⟩+β|11⟩,two BSs,2.0,2-qubit ES,literature\n"
         "Wang et al.,α|000⟩+β|111⟩,one GHZS and one BS,0.5,2-qubit ES,literature\n"
-        'this protocol,"α|0…0⟩+β|1…1⟩ (m=3, probabilistic regime)",one BS,0.5000000000000001,1-qubit state,computed\n'
+        'this protocol,"α|0…0⟩+β|1…1⟩ (m=3, probabilistic regime)",one BS,0.5,1-qubit state,computed\n'
     ),
     ("analyze", "real", "text"): (
         "p_success      1\n"
@@ -362,7 +363,7 @@ GOLDEN_OUTPUTS = {
     ("analyze", "real", "json"): (
         "{\n"
         '  "p_success": 1.0,\n'
-        '  "expected_bits": 1.5000000000000002,\n'
+        '  "expected_bits": 1.5,\n'
         '  "per_branch": [\n'
         "    {\n"
         '      "outcome": "psi_perp",\n'
@@ -372,7 +373,7 @@ GOLDEN_OUTPUTS = {
         "    },\n"
         "    {\n"
         '      "outcome": "psi",\n'
-        '      "probability": 0.5000000000000001,\n'
+        '      "probability": 0.5,\n'
         '      "bits": 2,\n'
         '      "fidelity": 1.0\n'
         "    }\n"
@@ -382,7 +383,7 @@ GOLDEN_OUTPUTS = {
     ("analyze", "real", "csv"): (
         "outcome,probability,bits,fidelity\n"
         "psi_perp,0.5,1,1.0\n"
-        "psi,0.5000000000000001,2,1.0\n"
+        "psi,0.5,2,1.0\n"
     ),
     ("montecarlo", "real", "text", "5"): (
         "trials        1000\n"
@@ -461,7 +462,7 @@ GOLDEN_OUTPUTS = {
         '    "protocol_name": "this protocol",\n'
         '    "target_family": "α|0…0⟩+β|1…1⟩ (m=3, deterministic regime, real coefficients)",\n'
         '    "channel": "one BS",\n'
-        '    "classical_bits": 1.5000000000000002,\n'
+        '    "classical_bits": 1.5,\n'
         '    "identification": "1-qubit state",\n'
         '    "source": "computed"\n'
         "  }\n"
@@ -474,7 +475,7 @@ GOLDEN_OUTPUTS = {
         "Dai et al.,α|0000⟩+β|1111⟩,two GHZSs,1.0,2-qubit ES,literature\n"
         "Zhan et al.,α|00⟩+β|11⟩,two BSs,2.0,2-qubit ES,literature\n"
         "Wang et al.,α|000⟩+β|111⟩,one GHZS and one BS,0.5,2-qubit ES,literature\n"
-        'this protocol,"α|0…0⟩+β|1…1⟩ (m=3, deterministic regime, real coefficients)",one BS,1.5000000000000002,1-qubit state,computed\n'
+        'this protocol,"α|0…0⟩+β|1…1⟩ (m=3, deterministic regime, real coefficients)",one BS,1.5,1-qubit state,computed\n'
     ),
     ("analyze", "equatorial", "text"): (
         "p_success      1\n"
@@ -484,18 +485,18 @@ GOLDEN_OUTPUTS = {
     ),
     ("analyze", "equatorial", "json"): (
         "{\n"
-        '  "p_success": 1.0000000000000002,\n'
-        '  "expected_bits": 1.5000000000000004,\n'
+        '  "p_success": 1.0,\n'
+        '  "expected_bits": 1.5,\n'
         '  "per_branch": [\n'
         "    {\n"
         '      "outcome": "psi_perp",\n'
-        '      "probability": 0.5000000000000001,\n'
+        '      "probability": 0.5,\n'
         '      "bits": 1,\n'
         '      "fidelity": 1.0\n'
         "    },\n"
         "    {\n"
         '      "outcome": "psi",\n'
-        '      "probability": 0.5000000000000001,\n'
+        '      "probability": 0.5,\n'
         '      "bits": 2,\n'
         '      "fidelity": 1.0\n'
         "    }\n"
@@ -504,8 +505,8 @@ GOLDEN_OUTPUTS = {
     ),
     ("analyze", "equatorial", "csv"): (
         "outcome,probability,bits,fidelity\n"
-        "psi_perp,0.5000000000000001,1,1.0\n"
-        "psi,0.5000000000000001,2,1.0\n"
+        "psi_perp,0.5,1,1.0\n"
+        "psi,0.5,2,1.0\n"
     ),
     ("montecarlo", "equatorial", "text", "5"): (
         "trials        1000\n"
@@ -584,7 +585,7 @@ GOLDEN_OUTPUTS = {
         '    "protocol_name": "this protocol",\n'
         '    "target_family": "α|0…0⟩+β|1…1⟩ (m=3, deterministic regime, equatorial coefficients)",\n'
         '    "channel": "one BS",\n'
-        '    "classical_bits": 1.5000000000000004,\n'
+        '    "classical_bits": 1.5,\n'
         '    "identification": "1-qubit state",\n'
         '    "source": "computed"\n'
         "  }\n"
@@ -597,7 +598,7 @@ GOLDEN_OUTPUTS = {
         "Dai et al.,α|0000⟩+β|1111⟩,two GHZSs,1.0,2-qubit ES,literature\n"
         "Zhan et al.,α|00⟩+β|11⟩,two BSs,2.0,2-qubit ES,literature\n"
         "Wang et al.,α|000⟩+β|111⟩,one GHZS and one BS,0.5,2-qubit ES,literature\n"
-        'this protocol,"α|0…0⟩+β|1…1⟩ (m=3, deterministic regime, equatorial coefficients)",one BS,1.5000000000000004,1-qubit state,computed\n'
+        'this protocol,"α|0…0⟩+β|1…1⟩ (m=3, deterministic regime, equatorial coefficients)",one BS,1.5,1-qubit state,computed\n'
     ),
     ("montecarlo", "general", "text", "1180591620717411303424"): (
         "trials        1000\n"
@@ -885,6 +886,38 @@ class TestExitCodes:
     def test_negative_seed(self, capsys):
         code, _, err = invoke(capsys, ["run", *GENERAL, "--seed", "-4"])
         assert code == 2 and "seed" in err
+
+    def test_huge_coefficient_is_a_usage_error(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would exit 1
+            code, out, err = invoke(
+                capsys, ["analyze", "--alpha", "1e200", "--beta-re", "0", "--m", "3"]
+            )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: alpha**2 + |beta|**2 = 1e+400, not 1 within 1e-09; "
+            "pass normalize=True to rescale\n"
+        )
+
+    @pytest.mark.parametrize(
+        "coefficients",
+        [
+            ["--alpha", "1e200", "--beta-re", "0"],
+            ["--alpha", "1e-320", "--beta-re", "0"],
+            ["--alpha", "3e-162", "--beta-re", "3e-162", "--beta-im", "1e-170"],
+        ],
+        ids=["huge", "subnormal", "tiny"],
+    )
+    def test_normalize_rescales_extreme_coefficients(self, capsys, coefficients):
+        # the squares of these overflow or underflow unless the pair is
+        # scaled first; each is a special target, so both branches succeed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(
+                capsys, ["analyze", *coefficients, "--m", "3", "--normalize", "--format", "json"]
+            )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["p_success"] == 1.0
 
     def test_argparse_errors_exit_2(self):
         with pytest.raises(SystemExit) as excinfo:

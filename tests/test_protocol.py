@@ -13,25 +13,32 @@ from bellrsp import (
     ClassicalMessage,
     MAX_QUBITS,
     MalformedMessage,
+    NORM_TOL,
     NegativeAlpha,
     NonNormalizedTarget,
     Outcome,
+    PAULI_X,
     SQRT_HALF,
     StateVector,
     SUCCESS_TOL,
     TargetCase,
     TargetSpec,
     alice_encode,
+    basis_from_target,
     bob_act,
     build_target_state,
     canonicalize_target,
     classify_case,
     exact_analyze,
     fidelity_mod_phase,
+    make_bell,
+    measure_in_basis,
     monte_carlo,
     run_trial,
 )
+from bellrsp import protocol
 from oracles import (
+    collapsed_seed,
     dense_receiver_state,
     random_equatorial_pair,
     random_general_pair,
@@ -154,6 +161,15 @@ class TestTargetSpecValidation:
     def test_non_normalized(self):
         with pytest.raises(NonNormalizedTarget):
             TargetSpec(0.9, 0.9, 2, TargetCase.REAL)
+
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [(np.nan, 0j), (0.6, complex(np.nan, 0.8)), (0.6, complex(0.8, np.inf)), (1e200, 0j)],
+        ids=["nan-alpha", "nan-beta", "inf-beta", "huge"],
+    )
+    def test_non_finite_or_huge_coefficients(self, alpha, beta):
+        with pytest.raises(NonNormalizedTarget):
+            TargetSpec(alpha, beta, 2, TargetCase.REAL)
 
     def test_small_m(self):
         with pytest.raises(BadQubitCount):
@@ -327,6 +343,14 @@ class TestRunTrial:
             record = run_trial(target, Outcome.PSI_PERP)
             assert record.success
 
+    def test_fidelity_is_computed_not_assumed(self, monkeypatch):
+        # a wrong gate in the table must read as a low fidelity, not success:
+        # X takes the real psi branch (0.6, 0.8) to (0.8, 0.6), overlap 0.96
+        monkeypatch.setitem(protocol._GATES, (1, 0), PAULI_X)
+        record = run_trial(canonicalize_target(0.6, 0.8, 3), Outcome.PSI)
+        assert record.fidelity == pytest.approx(0.96**2, abs=1e-12)
+        assert not record.success
+
     def test_sampled_trials_hit_both_branches(self):
         target = canonicalize_target(0.6, 0.8j, 2)
         rng = np.random.default_rng(73)
@@ -477,6 +501,14 @@ class TestReceiverStateAgainstDenseOracle:
         assert record.bob_state.amplitudes.tobytes() == dense.amplitudes.tobytes()
         densified = fidelity_mod_phase(record.bob_state, build_target_state(target))
         assert abs(record.fidelity - densified) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(target=case_targets, branch=branches)
+    def test_oracle_seed_is_the_measured_collapse(self, target, branch):
+        basis = basis_from_target(target.alpha, target.beta)
+        _, _, measured = measure_in_basis(make_bell(), 0, basis, branch)
+        seed = collapsed_seed(target, branch)
+        assert np.max(np.abs(seed.amplitudes - measured.amplitudes)) <= NORM_TOL
 
     def test_json_keeps_signed_zeros_of_the_dense_chain(self):
         target = canonicalize_target(0.6, -0.8, 3)
