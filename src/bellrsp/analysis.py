@@ -129,11 +129,16 @@ def exact_analyze(target: TargetSpec) -> ExactAnalysis:
     return ExactAnalysis(p_success, expected_bits, records)
 
 
+def _require_seed(seed: int) -> None:
+    """Raise ``InvalidFlag`` for a negative seed, without building a generator."""
+    if seed < 0:
+        raise InvalidFlag(f"seed must be >= 0, got {seed}")
+
+
 def trial_rng(seed: int, index: int) -> np.random.Generator:
     """The seed's stream advanced by ``index`` draws: its first ``random()``
     is the draw that decides trial ``index`` in ``monte_carlo``."""
-    if seed < 0:
-        raise InvalidFlag(f"seed must be >= 0, got {seed}")
+    _require_seed(seed)
     return np.random.Generator(np.random.PCG64(seed).advance(index))
 
 

@@ -26,6 +26,7 @@ from .analysis import (
     ComparisonRow,
     ExactAnalysis,
     MonteCarloStats,
+    _require_seed,
     emit_comparison_table,
     exact_analyze,
     monte_carlo,
@@ -146,8 +147,10 @@ def _dispatch(args: argparse.Namespace) -> str:
         normalize=args.normalize,
     )
     if args.subcommand == "run":
-        select = trial_rng(args.seed, 0)  # checks the seed even when forced
-        if args.force_outcome is not None:
+        _require_seed(args.seed)  # even when forced, where no generator is built
+        if args.force_outcome is None:
+            select = trial_rng(args.seed, 0)
+        else:
             select = _FORCE_CHOICES[args.force_outcome]
         return _format_trial(run_trial(target, select), target, args.format)
     if args.subcommand == "analyze":

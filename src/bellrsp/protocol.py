@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import cmath
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,11 +36,14 @@ from .statevector import (
     GhzState,
     Outcome,
     StateVector,
+    _scaled_pair_norm,
     apply_1q,
+    fidelity_mod_phase,
 )
 
 CASE_TOL = 1e-9     # case classification works on user-entered decimals
 SUCCESS_TOL = 1e-9  # success means fidelity >= 1 - SUCCESS_TOL
+_BORN = 0.5  # each branch's Born probability: the sender's half of a Bell pair is I/2
 
 ABORT_WIRE = "ABORT"
 
@@ -83,7 +85,7 @@ class TargetSpec:
         _require_qubit_count(self.m)
         if self.alpha < 0:
             raise NegativeAlpha(f"alpha must be >= 0, got {self.alpha}")
-        _unit_pair(self.alpha, self.beta, require_unit=True)
+        _scaled_pair_norm(self.alpha, self.beta, require_unit=True)
         if self.case_tag is not classify_case(self.alpha, self.beta):
             raise ValueError(
                 f"case_tag {self.case_tag.value!r} does not match the "
@@ -110,31 +112,6 @@ def _require_qubit_count(m: int) -> None:
         raise BadQubitCount(f"target needs at least 2 qubits, got m={m}")
     if m > MAX_QUBITS:
         raise BadQubitCount(f"target needs at most {MAX_QUBITS} qubits, got m={m}")
-
-
-def _unit_pair(a: complex, b: complex, require_unit: bool, hint="") -> tuple[complex, complex]:
-    """``(a, b)`` over their norm. Beyond 2**+-500, where a square would
-    overflow or lose digits, both are first scaled by the exact power of two
-    2**-e that puts the largest component in [0.5, 1). A zero pair raises
-    ``NonNormalizedTarget``, and so does, with ``require_unit``, a norm off 1
-    by more than ``INPUT_TOL``; a scaled pair always is, and its squared
-    norm, which no float may hold, is printed in decimal."""
-    e = math.frexp(max(abs(a.real), abs(a.imag), abs(b.real), abs(b.imag)))[1]
-    if abs(e) > 500:
-        a, b = (complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in (a, b))
-    else:
-        e = 0
-    norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
-    if norm == 0.0:
-        raise NonNormalizedTarget("coefficients are both zero")
-    if require_unit and (e != 0 or not abs(norm - 1.0) <= INPUT_TOL):  # NaN fails too
-        text = repr(norm * norm)
-        if e != 0:
-            from decimal import Context, Decimal  # here, not at import: ~1 ms and 0.3 MB
-
-            text = f"{(Decimal(norm * norm) * Decimal(4) ** e).normalize(Context(prec=12)):g}"
-        raise NonNormalizedTarget(f"alpha**2 + |beta|**2 = {text}, not 1 within {INPUT_TOL}{hint}")
-    return a / norm, b / norm
 
 
 def classify_case(alpha: float, beta: complex) -> TargetCase:
@@ -169,7 +146,8 @@ def canonicalize_target(
     b = complex(beta_raw)
     if not (cmath.isfinite(a) and cmath.isfinite(b)):
         raise NonNormalizedTarget("coefficients must be finite")
-    a, b = _unit_pair(a, b, not normalize, "; pass normalize=True to rescale")
+    a, b, norm = _scaled_pair_norm(a, b, not normalize, "; pass normalize=True to rescale")
+    a, b = a / norm, b / norm
     # phase away arg(alpha); for alpha = 0 make beta real positive instead
     reference = a if abs(a) > 0 else b
     phase = reference.conjugate() / abs(reference)
@@ -276,44 +254,41 @@ class TrialRecord:
 def run_trial(
     target: TargetSpec, select: Outcome | np.random.Generator
 ) -> TrialRecord:
-    """One full protocol run: the ``branch_table`` record of one branch.
+    """One full protocol run: the ``branch_table`` record of one branch, and
+    only that record is built.
 
     ``select`` either forces the sender's measurement branch or supplies the
     random draw, which lands in psi when it falls below psi's Born
-    probability, exactly as ``monte_carlo`` counts its draws.
+    probability 1/2, exactly as ``monte_carlo`` counts its draws.
     """
-    perp, psi = branch_table(target)
     if isinstance(select, np.random.Generator):
-        select = Outcome.PSI if select.random() < psi.probability else Outcome.PSI_PERP
+        select = Outcome.PSI if select.random() < _BORN else Outcome.PSI_PERP
     if not isinstance(select, Outcome):
         raise TypeError("select must be an Outcome or a numpy random Generator")
-    return psi if select is Outcome.PSI else perp
+    return _record(target, select, build_target_state(target))
 
 
 def branch_table(target: TargetSpec) -> tuple[TrialRecord, TrialRecord]:
-    """The psi_perp and psi records in closed form. Alice's half of the Bell
-    pair is I/2, so each branch has probability exactly 1/2, and measuring it
-    in {psi, psi_perp} leaves the receiver (beta, -alpha) on psi_perp and
-    (alpha, conj(beta)) on psi. The table's gate corrects that qubit; the
-    fidelity, |<bob|goal>|**2 capped at 1, is computed from the two seeds,
-    so no 2**m array is built. An aborted run scores 0."""
-    alpha, beta, goal = target.alpha, target.beta, build_target_state(target)
-    return (
-        _record(target, Outcome.PSI_PERP, StateVector(1, [beta, -alpha]), goal),
-        _record(target, Outcome.PSI, StateVector(1, [alpha, beta.conjugate()]), goal),
-    )
+    """The psi_perp and psi records, in that order: the two ``_record``
+    calls that ``run_trial`` picks one of, sharing one goal state."""
+    goal = build_target_state(target)
+    return _record(target, Outcome.PSI_PERP, goal), _record(target, Outcome.PSI, goal)
 
 
-def _record(target, outcome, collapsed, goal) -> TrialRecord:
-    """One branch's message, receiver state and score, at probability 1/2."""
+def _record(target: TargetSpec, outcome: Outcome, goal: GhzState) -> TrialRecord:
+    """One branch in closed form. Alice's half of the Bell pair is I/2, so
+    the branch has probability exactly 1/2, and measuring it in {psi,
+    psi_perp} leaves the receiver (beta, -alpha) on psi_perp and (alpha,
+    conj(beta)) on psi. The table's gate corrects that qubit; the fidelity
+    with ``goal`` is computed from the two seeds, so no 2**m array is built.
+    An aborted run scores 0."""
+    alpha, beta = target.alpha, target.beta
+    seed = [beta, -alpha] if outcome is Outcome.PSI_PERP else [alpha, beta.conjugate()]
     message = alice_encode(outcome, target.case_tag)
-    bob_state = bob_act(message, collapsed, target.m)
-    fidelity = 0.0  # an aborted run
-    if bob_state is not None:
-        overlap = np.vdot(bob_state.seed.amplitudes, goal.seed.amplitudes)
-        fidelity = min(1.0, float(abs(overlap) ** 2))
+    bob_state = bob_act(message, StateVector(1, seed), target.m)
+    fidelity = 0.0 if bob_state is None else fidelity_mod_phase(bob_state.seed, goal.seed)
     return TrialRecord(
         outcome=outcome, message=message, bob_state=bob_state, fidelity=fidelity,
         success=fidelity >= 1.0 - SUCCESS_TOL, bits_sent=message.bit_count,
-        probability=0.5,
+        probability=_BORN,
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,18 +153,16 @@ def basis_from_target(alpha: float, beta: complex) -> MeasurementBasis:
     """Measurement basis {psi = (alpha, beta), psi_perp = (conj(beta), -alpha)}.
 
     ``alpha`` must be real and nonnegative (canonicalize the target first) and
-    the pair normalized within ``INPUT_TOL``. Both vectors are rescaled to
-    exact unit norm so Born probabilities obey the ``NORM_TOL`` identities.
+    the pair normalized within ``INPUT_TOL``; a pair of any other norm, however
+    large or small, raises ``NonNormalizedTarget`` with a finite message. Both
+    vectors are rescaled to exact unit norm so Born probabilities obey the
+    ``NORM_TOL`` identities.
     """
     alpha = float(alpha)
     beta = complex(beta)
     if alpha < 0:
         raise NegativeAlpha(f"alpha must be >= 0, got {alpha}")
-    norm = np.sqrt(alpha * alpha + abs(beta) ** 2)
-    if abs(norm - 1.0) > INPUT_TOL:
-        raise NonNormalizedTarget(
-            f"alpha**2 + |beta|**2 = {float(norm * norm)!r}, not 1 within {INPUT_TOL}"
-        )
+    norm = _scaled_pair_norm(alpha, beta, require_unit=True)[2]  # a scaled pair raises
     psi = np.array([alpha, beta], dtype=complex) / norm
     psi_perp = np.array([beta.conjugate(), -alpha], dtype=complex) / norm
     return MeasurementBasis(psi, psi_perp)
@@ -226,6 +225,35 @@ def _norm(x: np.ndarray) -> np.floating:
     makes for one, without its argument handling, so bit-identical to it."""
     x = x.ravel(order="K")
     return np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+
+
+def _scaled_pair_norm(
+    a: complex, b: complex, require_unit: bool, hint=""
+) -> tuple[complex, complex, float]:
+    """``(a, b)`` and their 2-norm. Beyond 2**+-500, where a square would
+    overflow or lose digits, both are first scaled by the exact power of two
+    2**-e that puts the largest component in [0.5, 1), and the scaled pair
+    is returned, so its quotient by the norm is the unit pair either way. A
+    zero pair raises ``NonNormalizedTarget``, and so does, with
+    ``require_unit``, a norm off 1 by more than ``INPUT_TOL``; a scaled pair
+    always is, and its squared norm, which no float may hold, is printed in
+    decimal."""
+    e = math.frexp(max(abs(a.real), abs(a.imag), abs(b.real), abs(b.imag)))[1]
+    if abs(e) > 500:
+        a, b = (complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in (a, b))
+    else:
+        e = 0
+    norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+    if norm == 0.0:
+        raise NonNormalizedTarget("coefficients are both zero")
+    if require_unit and (e != 0 or not abs(norm - 1.0) <= INPUT_TOL):  # NaN fails too
+        text = repr(norm * norm)
+        if e != 0:
+            from decimal import Context, Decimal  # here, not at import: ~1 ms and 0.3 MB
+
+            text = f"{(Decimal(norm * norm) * Decimal(4) ** e).normalize(Context(prec=12)):g}"
+        raise NonNormalizedTarget(f"alpha**2 + |beta|**2 = {text}, not 1 within {INPUT_TOL}{hint}")
+    return a, b, norm
 
 
 def append_ancillas(state: StateVector, k: int) -> StateVector:

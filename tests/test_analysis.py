@@ -168,6 +168,47 @@ class TestBranchTable:
         forced = [run_trial(target, branch) for branch in (Outcome.PSI_PERP, Outcome.PSI)]
         assert [record_fields(r) for r in table] == [record_fields(r) for r in forced]
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(("general", "real", "equatorial")),
+        m=st.integers(2, 24),
+        seed=st.integers(0, 2**130),
+        index=st.integers(0, 2**64),
+    )
+    def test_sampled_record_is_the_table_record_its_draw_selects(self, kind, m, seed, index):
+        target = random_target(np.random.default_rng(seed), kind, m)
+        perp, psi = protocol.branch_table(target)
+        expected = psi if trial_rng(seed, index).random() < 0.5 else perp
+        sampled = run_trial(target, trial_rng(seed, index))
+        assert record_fields(sampled) == record_fields(expected)
+
+    @pytest.mark.parametrize(
+        "call, records",
+        [
+            (lambda target: run_trial(target, Outcome.PSI_PERP), 1),
+            (lambda target: run_trial(target, Outcome.PSI), 1),
+            (lambda target: run_trial(target, trial_rng(3, 0)), 1),
+            (lambda target: protocol.branch_table(target), 2),
+            (lambda target: exact_analyze(target), 2),
+            (lambda target: monte_carlo(target, 100, seed=3), 2),
+        ],
+        ids=["run_trial-psi_perp", "run_trial-psi", "run_trial-sampled",
+             "branch_table", "exact_analyze", "monte_carlo"],
+    )
+    def test_records_built_per_call(self, monkeypatch, call, records):
+        # a trial builds the one record it returns; the table builds both
+        calls = []
+
+        def counting(*args, _original=protocol._record):
+            calls.append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(protocol, "_record", counting)
+        for make in (general_target, real_target, equatorial_target):
+            calls.clear()
+            call(make())
+            assert len(calls) == records
+
     @pytest.mark.parametrize(
         "call",
         [

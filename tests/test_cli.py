@@ -10,6 +10,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 try:
@@ -886,6 +887,32 @@ class TestExitCodes:
     def test_negative_seed(self, capsys):
         code, _, err = invoke(capsys, ["run", *GENERAL, "--seed", "-4"])
         assert code == 2 and "seed" in err
+
+    @pytest.mark.parametrize(
+        "extra, generators",
+        [
+            (["--force-outcome", "psi"], 0),
+            (["--force-outcome", "psiperp", "--seed", "9"], 0),
+            (["--force-outcome", "psi", "--seed", "-1"], 0),
+            (["--seed", "9"], 1),
+            (["--seed", "-1"], 0),
+        ],
+        ids=["forced", "forced-seed", "forced-negative", "sampled", "sampled-negative"],
+    )
+    def test_run_builds_a_generator_only_to_sample(self, capsys, monkeypatch, extra, generators):
+        calls = []
+
+        def counting(*args, _original=np.random.PCG64):
+            calls.append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(np.random, "PCG64", counting)
+        code, _, err = invoke(capsys, ["run", *GENERAL, *extra])
+        assert len(calls) == generators
+        if "-1" in extra:
+            assert (code, err) == (2, "error: seed must be >= 0, got -1\n")
+        else:
+            assert (code, err) == (0, "")
 
     def test_huge_coefficient_is_a_usage_error(self, capsys):
         with warnings.catch_warnings():

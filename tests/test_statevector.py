@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bellrsp import (
@@ -241,6 +241,49 @@ class TestBasisFromTarget:
         psi_perp = np.array([beta.conjugate(), -alpha], dtype=complex) / norm
         assert basis.psi.tobytes() == psi.tobytes()
         assert basis.psi_perp.tobytes() == psi_perp.tobytes()
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        alpha=st.floats(0.0, 1.0),
+        re=st.floats(-1.0, 1.0),
+        im=st.floats(-1.0, 1.0),
+        off=st.floats(-2 * INPUT_TOL, 2 * INPUT_TOL),
+    )
+    def test_ordinary_pairs_match_the_unscaled_formula(self, alpha, re, im, off):
+        # below 2**500 the scaling is off: the same bases and the same
+        # rejections as squaring the coefficients directly
+        size = np.sqrt(alpha * alpha + re * re + im * im)
+        assume(size > 0.0)
+        alpha, beta = alpha / size * (1.0 + off), complex(re, im) / size
+        norm = np.sqrt(alpha * alpha + abs(beta) ** 2)
+        if abs(norm - 1.0) > INPUT_TOL:
+            message = f"alpha**2 + |beta|**2 = {float(norm * norm)!r}, not 1 within {INPUT_TOL}"
+            with pytest.raises(NonNormalizedTarget) as excinfo:
+                basis_from_target(alpha, beta)
+            assert str(excinfo.value) == message
+            return
+        basis = basis_from_target(alpha, beta)
+        psi = np.array([alpha, beta], dtype=complex) / norm
+        psi_perp = np.array([beta.conjugate(), -alpha], dtype=complex) / norm
+        assert basis.psi.tobytes() == psi.tobytes()
+        assert basis.psi_perp.tobytes() == psi_perp.tobytes()
+
+    @pytest.mark.parametrize(
+        "alpha, beta, squared_norm",
+        [
+            (1e200, 0.0, "1e+400"),
+            (1e-320, 0.0, "9.99977734489e-641"),
+            (0.0, 1e300j, "1e+600"),
+            (1.5e300, 1e300, "3.25e+600"),
+        ],
+    )
+    def test_pairs_at_the_float_extremes_get_a_finite_message(self, alpha, beta, squared_norm):
+        with pytest.raises(NonNormalizedTarget) as excinfo:
+            basis_from_target(alpha, beta)
+        assert str(excinfo.value) == (
+            f"alpha**2 + |beta|**2 = {squared_norm}, not 1 within {INPUT_TOL}"
+        )
 
 
 class TestMeasureInBasis:
