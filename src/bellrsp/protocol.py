@@ -36,8 +36,8 @@ from .statevector import (
     GhzState,
     Outcome,
     StateVector,
+    _require_unitary,
     _scaled_pair_norm,
-    apply_1q,
     fidelity_mod_phase,
 )
 
@@ -70,6 +70,8 @@ _PROTOCOL = {
     (Outcome.PSI, TargetCase.EQUATORIAL): ((1, 1), PAULI_X),
 }
 _GATES = dict(_PROTOCOL.values())  # payload -> gate; None means no gate
+for _gate in (ROT90, PAULI_X):  # checked once here, not on every trial
+    _require_unitary(_gate)
 
 
 @dataclass(frozen=True)
@@ -150,6 +152,8 @@ def canonicalize_target(
     a, b = a / norm, b / norm
     # phase away arg(alpha); for alpha = 0 make beta real positive instead
     reference = a if abs(a) > 0 else b
+    if abs(reference) < 2.0**-500:  # exactly scaled up, so a subnormal's phase is unit
+        reference *= 2.0**600
     phase = reference.conjugate() / abs(reference)
     alpha = abs(a)
     beta = b * phase
@@ -205,9 +209,11 @@ def bob_act(
     payload, then CNOT fan-out of the corrected qubit over m-1 fresh ancillas.
 
     "0" applies ROT90, "10" no gate and "11" PAULI_X; the table's comment
-    gives the reasons. Abort returns None. The fanned-out state is returned
-    as a ``GhzState`` seeded by the corrected qubit: two amplitudes,
-    densified only when read.
+    gives the reasons. The gate, read at call time, is applied as its 2x2
+    product with each sum started at +0j, as ``np.dot`` does, so the bytes
+    are ``apply_1q``'s, signed zeros included. Abort returns None. The
+    fanned-out state is a ``GhzState`` seeded by the corrected qubit: two
+    amplitudes, densified only when read.
     """
     _require_qubit_count(m)
     if message.bits is None:
@@ -217,8 +223,11 @@ def bob_act(
             f"expected a 1-qubit collapsed state, got {collapsed.n_qubits} qubits"
         )
     gate = _GATES[message.bits]
-    corrected = collapsed if gate is None else apply_1q(collapsed, 0, gate)
-    return GhzState(m, corrected)
+    if gate is not None:
+        (g00, g01), (g10, g11) = gate.tolist()
+        v0, v1 = collapsed.amplitudes.tolist()
+        collapsed = StateVector(1, [0j + g00 * v0 + g01 * v1, 0j + g10 * v0 + g11 * v1])
+    return GhzState(m, collapsed)
 
 
 def build_target_state(target: TargetSpec) -> GhzState:
@@ -259,12 +268,13 @@ def run_trial(
 
     ``select`` either forces the sender's measurement branch or supplies the
     random draw, which lands in psi when it falls below psi's Born
-    probability 1/2, exactly as ``monte_carlo`` counts its draws.
+    probability 1/2, exactly as ``monte_carlo`` counts its draws. A forced
+    branch is taken before ``np.random`` is touched, so it loads no numpy.random.
     """
-    if isinstance(select, np.random.Generator):
-        select = Outcome.PSI if select.random() < _BORN else Outcome.PSI_PERP
     if not isinstance(select, Outcome):
-        raise TypeError("select must be an Outcome or a numpy random Generator")
+        if not isinstance(select, np.random.Generator):
+            raise TypeError("select must be an Outcome or a numpy random Generator")
+        select = Outcome.PSI if select.random() < _BORN else Outcome.PSI_PERP
     return _record(target, select, build_target_state(target))
 
 

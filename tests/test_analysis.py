@@ -235,6 +235,36 @@ class TestBranchTable:
         assert calls == []
 
     @pytest.mark.parametrize(
+        "call",
+        [
+            lambda target: run_trial(target, Outcome.PSI_PERP),
+            lambda target: run_trial(target, Outcome.PSI),
+            lambda target: run_trial(target, trial_rng(3, 0)),
+            lambda target: protocol.branch_table(target),
+            lambda target: exact_analyze(target),
+            lambda target: monte_carlo(target, 100, seed=3),
+        ],
+        ids=["run_trial-psi_perp", "run_trial-psi", "run_trial-sampled",
+             "branch_table", "exact_analyze", "monte_carlo"],
+    )
+    def test_no_dense_gate_or_unitarity_check_per_call(self, monkeypatch, call):
+        # the correction is the gate's 2x2 product, and the table's two gates
+        # are checked for unitarity once, when the protocol module loads
+        calls = []
+        for name in ("apply_1q", "_require_unitary"):
+
+            def counting(*args, _name=name, _original=getattr(statevector, name)):
+                calls.append(_name)
+                return _original(*args)
+
+            for module in (statevector, protocol, analysis):
+                if name in vars(module):
+                    monkeypatch.setattr(module, name, counting)
+        for make in (general_target, real_target, equatorial_target):
+            call(make())
+        assert calls == []
+
+    @pytest.mark.parametrize(
         "make", [general_target, real_target, equatorial_target],
         ids=["general", "real", "equatorial"],
     )

@@ -1,8 +1,10 @@
 """Command-line surface: formats, exit codes, reproducibility."""
 
+import contextlib
 import csv
 import io
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -12,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 try:
     import tomllib
@@ -980,6 +984,57 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err == "internal error: wires crossed\n"
+
+
+# coefficients from the whole double range: signed zeros, subnormals, the
+# squares' overflow threshold 1e154 and beyond, the float extremes, NaN and
+# the infinities, plus the parts of unit pairs so that most targets are valid
+edge_doubles = st.sampled_from((
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e154, -1e154,
+    1.3407807929942596e154, 1e200, 1.7976931348623157e308, math.nan, math.inf,
+    -math.inf, 0.6, 0.8, -0.8, 0.7071067811865476, 0.70710678, 0.5,
+))
+doubles = st.one_of(edge_doubles, st.floats(), st.floats(-1.0, 1.0))
+qubit_counts = st.one_of(st.integers(-2, 30), st.integers(-2, 10**9))
+
+
+@st.composite
+def invocations(draw):
+    sub = draw(st.sampled_from(("run", "analyze", "montecarlo", "table")))
+    m = draw(qubit_counts)
+    argv = [sub, *(f"{flag}={draw(doubles)!r}" for flag in ("--alpha", "--beta-re", "--beta-im"))]
+    argv.append(f"--m={m}")
+    if draw(st.booleans()):
+        argv.append("--normalize")
+    argv.append(f"--format={draw(st.sampled_from(('text', 'csv', 'json') if m <= 8 else ('text', 'csv')))}")
+    if sub in ("run", "montecarlo"):
+        argv.append(f"--seed={draw(st.integers(-1, 2**130))}")
+    if sub == "run":
+        force = draw(st.sampled_from((None, "psi", "psiperp")))
+        argv += [] if force is None else [f"--force-outcome={force}"]
+    if sub == "montecarlo":
+        argv += [f"--trials={draw(st.integers(-1, 1000))}", f"--workers={draw(st.integers(-1, 4))}"]
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=250, deadline=None)
+    @given(argv=invocations())
+    def test_every_invocation_exits_0_or_2_in_bounded_memory(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")  # a numpy RuntimeWarning exits 1
+                code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code in (0, 2), err.getvalue()
+        if code == 2:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert peak < 64 * 2**20
 
 
 class TestFormatState:

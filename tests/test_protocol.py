@@ -1,6 +1,10 @@
 """Protocol layer: canonicalization, codec, corrections, full trials."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from bellrsp import (
     TargetCase,
     TargetSpec,
     alice_encode,
+    apply_1q,
     basis_from_target,
     bob_act,
     build_target_state,
@@ -37,6 +42,7 @@ from bellrsp import (
     run_trial,
 )
 from bellrsp import protocol
+from bellrsp.statevector import _scaled_pair_norm
 from oracles import (
     collapsed_seed,
     dense_receiver_state,
@@ -91,6 +97,16 @@ class TestCanonicalizeTarget:
         assert target.alpha == 0.0
         assert target.beta == pytest.approx(1.0, abs=ATOL)
         assert target.case_tag is TargetCase.REAL
+
+    @pytest.mark.parametrize(
+        "alpha", [complex(5e-324, 5e-324), complex(2.2250738585e-313, 2.2250738585e-313), -1e-310j]
+    )
+    def test_subnormal_complex_alpha_is_phased_away_exactly(self, alpha):
+        # the phase is taken from alpha scaled up by an exact power of two, so
+        # it is unit and beta keeps its modulus; a pair of norm 1 is accepted
+        target = canonicalize_target(alpha, 1j, 2)
+        assert abs(abs(target.beta) - 1.0) <= 2**-52
+        assert target.alpha == abs(alpha)
 
     def test_canonical_state_matches_raw_state_mod_phase(self):
         rng = np.random.default_rng(71)
@@ -518,6 +534,75 @@ class TestReceiverStateAgainstDenseOracle:
         assert any(np.signbit(re) and re == 0.0 for re, _ in payload["amplitudes"])
 
 
+# parts of a pair: signed zeros, the smallest subnormal, the class
+# boundaries (|Im beta| = CASE_TOL, alpha = 1/sqrt(2) +- CASE_TOL), any float
+edge_parts = st.sampled_from((
+    0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 0.6, -0.8, SQRT_HALF, -SQRT_HALF,
+    SQRT_HALF + CASE_TOL, SQRT_HALF - CASE_TOL, CASE_TOL, -CASE_TOL,
+    np.nextafter(CASE_TOL, 1.0), -np.nextafter(CASE_TOL, 1.0), 1e154, -1e300,
+))
+unit_parts = st.one_of(edge_parts, st.floats(-1.0, 1.0))
+raw_pairs = st.tuples(unit_parts, unit_parts, unit_parts, unit_parts).map(
+    lambda p: (complex(p[0], p[1]), complex(p[2], p[3]))
+)
+
+
+def unit_seed(pair):
+    """The pair divided by its norm, each part's sign kept; None for (0, 0)."""
+    try:
+        a, b, norm = _scaled_pair_norm(*pair, require_unit=False)
+    except NonNormalizedTarget:
+        return None
+    return StateVector(1, [a / norm, b / norm])
+
+
+def protocol_seed(pair, branch):
+    """The collapsed qubit a run leaves for the canonical form of the pair."""
+    try:
+        target = canonicalize_target(*pair, 2, normalize=True)
+    except NonNormalizedTarget:
+        return None
+    return collapsed_seed(target, branch)
+
+
+collapsed_qubits = st.one_of(
+    raw_pairs.map(unit_seed),
+    st.builds(protocol_seed, raw_pairs, st.sampled_from(tuple(Outcome))),
+).filter(lambda seed: seed is not None)
+gated_payloads = st.sampled_from(
+    tuple(bits for bits, gate in protocol._GATES.items() if gate is not None)
+)
+
+
+class TestCorrectionBytes:
+    @settings(max_examples=400, deadline=None)
+    @given(bits=gated_payloads, collapsed=collapsed_qubits)
+    def test_correction_is_the_dense_gate_byte_for_byte(self, bits, collapsed):
+        # bytes, so the sign of every zero part must be apply_1q's too
+        expected = apply_1q(collapsed, 0, protocol._GATES[bits]).amplitudes.tobytes()
+        corrected = bob_act(ClassicalMessage(bits), collapsed, 2).seed
+        assert corrected.amplitudes.tobytes() == expected
+
+    def test_forced_trials_leave_numpy_random_unloaded(self):
+        script = (
+            "import sys\n"
+            "from bellrsp import Outcome, SQRT_HALF, canonicalize_target, run_trial, trial_rng\n"
+            "pairs = [(0.6, 0.8j), (0.6, -0.8), (SQRT_HALF, 0.5 + 0.5j), (0.0, 1.0)]\n"
+            "targets = [canonicalize_target(a, b, 3) for a, b in pairs]\n"
+            "for target in targets:\n"
+            "    for branch in Outcome:\n"
+            "        run_trial(target, branch)\n"
+            "forced = 'numpy.random' in sys.modules\n"
+            "run_trial(targets[0], trial_rng(1, 0))\n"
+            "print(forced, 'numpy.random' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        assert result.stdout.split() == ["False", "True"]
+
+
 def peak_traced_bytes(call):
     tracemalloc.start()
     try:
@@ -563,6 +648,33 @@ class TestCanonicalizeProperties:
         assert abs(again.alpha - first.alpha) <= 1e-15
         assert abs(again.beta - first.beta) <= 1e-15
         assert canonicalize_target(again.alpha, again.beta, m).case_tag is first.case_tag
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pair=st.one_of(
+            raw_pairs,
+            st.tuples(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.complex_numbers(allow_nan=False, allow_infinity=False),
+            ),
+        ),
+        m=st.integers(2, 12),
+    )
+    def test_recanonicalising_moves_each_component_at_most_4_ulp(self, pair, m):
+        # not a fixed point: a canonical pair's norm is 1 within an ulp or two,
+        # and dividing by it again moves a part by up to 4 * 2**-52
+        try:
+            first = canonicalize_target(*pair, m, normalize=True)
+        except NonNormalizedTarget:
+            assume(False)
+        again = canonicalize_target(first.alpha, first.beta, m)
+        assert (again.m, again.case_tag) == (first.m, first.case_tag)
+        for before, after in (
+            (first.alpha, again.alpha),
+            (first.beta.real, again.beta.real),
+            (first.beta.imag, again.beta.imag),
+        ):
+            assert abs(after - before) <= 4 * 2**-52
 
     @settings(max_examples=60, deadline=None)
     @given(
